@@ -3,6 +3,7 @@ strategies: per-principal discounted payoffs and social welfare."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,17 +90,22 @@ def eval_stationary_mixed(
 def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:
     """Payoffs of a counting strategy, for every start state.
 
-    Computed by per-principal backward recursion over the prefix steps on
-    top of the tail's positional values; equals the forward expectation
-    sum_j lam^j E[R] plus the lam^kappa-weighted tail value.
+    Computed by backward recursion over the prefix steps on top of the
+    tail's positional values; equals the forward expectation
+    sum_j lam^j E[R] plus the lam^kappa-weighted tail value.  Exact mode
+    recurses per principal over Fractions.  Float mode holds all
+    principals at once in an n_states x n_principals array and reads only
+    the FloatView arrays: each step is one segment sum of successor values
+    over every row, then a gather of the rows that step plays.
     """
     cs.check(asym)
     tail_vals = eval_positional(asym, cs.tail, mode)
+    if not mode.is_exact:
+        return _bundle(_counting_values_float(asym.float_view(), cs, tail_vals))
     trans = asym.mdp.transitions
-    exact = mode.is_exact
     vectors = []
     for i in range(asym.n_principals):
-        lam = asym.discounts[i] if exact else float(asym.discounts[i])
+        lam = asym.discounts[i]
         u = list(tail_vals.per_principal[i])
         for j in range(cs.kappa - 1, -1, -1):
             row = cs.prefix[j]
@@ -107,15 +113,27 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
             for s in range(asym.n_states):
                 a = row[s]
                 r = asym.rewards[s][a][i]
-                if exact:
-                    nu.append(r + lam * sum(p * u[t] for t, p in trans[s][a]))
-                else:
-                    nu.append(
-                        float(r) + lam * sum(float(p) * u[t] for t, p in trans[s][a])
-                    )
+                nu.append(r + lam * sum(p * u[t] for t, p in trans[s][a]))
             u = nu
         vectors.append(u)
     return _bundle(vectors)
+
+
+def _counting_values_float(view, cs, tail_vals):
+    """Per-principal value lists of a checked counting strategy, given its
+    tail's values."""
+    n = view.n_states
+    rows = np.fromiter(
+        itertools.chain.from_iterable(cs.prefix), dtype=np.intp, count=cs.kappa * n
+    ).reshape(cs.kappa, n)
+    rows += view.row_ptr[:-1]
+    u = np.array(tail_vals.per_principal).T
+    prob = view.succ_prob[:, None]
+    starts = view.succ_ptr[:-1]
+    for played in rows[::-1]:
+        g = np.add.reduceat(prob * u[view.succ_idx], starts)
+        u = view.rewards[played] + view.discounts * g[played]
+    return u.T.tolist()
 
 
 def counting_value_from(
@@ -156,21 +174,3 @@ def counting_value_from(
         tv = tail_vals.per_principal[i]
         totals[i] += pows[i] * sum(mass * tv[s] for s, mass in dist.items())
     return totals, sum(totals)
-
-
-def value_iteration_fixed_policy(asym, sigma, principal, sweeps, mode=FLOAT):
-    """Iterative evaluation of a fixed policy (test oracle)."""
-    view = asym.float_view()
-    lam = float(view.discounts[principal])
-    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
-    v = np.zeros(view.n_states)
-    for _ in range(sweeps):
-        nv = np.empty_like(v)
-        for s in range(view.n_states):
-            row = rows[s]
-            lo, hi = view.succ_ptr[row], view.succ_ptr[row + 1]
-            nv[s] = view.rewards[row, principal] + lam * float(
-                np.dot(view.succ_prob[lo:hi], v[view.succ_idx[lo:hi]])
-            )
-        v = nv
-    return v

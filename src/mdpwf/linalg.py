@@ -109,25 +109,22 @@ def policy_values_float(view, sigma, principal):
     n = view.n_states
     rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
     r = view.rewards[rows, principal]
+    played = np.zeros(view.n_rows, dtype=bool)
+    played[rows] = True
+    # successor entries of the played rows, in state order
+    take = played[view.succ_row]
+    src = view.row_state[view.succ_row[take]]
+    cols = view.succ_idx[take]
+    data = -lam * view.succ_prob[take]
     if n <= _DENSE_LIMIT:
         a = np.eye(n)
-        for s in range(n):
-            row = rows[s]
-            lo, hi = view.succ_ptr[row], view.succ_ptr[row + 1]
-            np.add.at(a[s], view.succ_idx[lo:hi], -lam * view.succ_prob[lo:hi])
+        np.add.at(a, (src, cols), data)
         return np.linalg.solve(a, r)
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
-    data, rows_i, cols_i = [], [], []
-    for s in range(n):
-        row = rows[s]
-        lo, hi = view.succ_ptr[row], view.succ_ptr[row + 1]
-        rows_i.extend([s] * (hi - lo))
-        cols_i.extend(view.succ_idx[lo:hi].tolist())
-        data.extend((-lam * view.succ_prob[lo:hi]).tolist())
     a = sparse.coo_matrix(
-        (data, (rows_i, cols_i)), shape=(n, n)
+        (data, (src, cols)), shape=(n, n)
     ).tocsr() + sparse.identity(n, format="csr")
     return spsolve(a, r)
 

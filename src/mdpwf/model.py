@@ -182,7 +182,6 @@ class FloatView:
             row_ptr[s + 1] = row_ptr[s] + len(mdp.actions[s])
         n_rows = int(row_ptr[-1])
         row_state = np.zeros(n_rows, dtype=np.int64)
-        row_action = np.zeros(n_rows, dtype=np.int64)
         succ_counts = []
         succ_idx = []
         succ_prob = []
@@ -191,7 +190,6 @@ class FloatView:
         for s in range(n_states):
             for a in range(len(mdp.actions[s])):
                 row_state[r] = s
-                row_action[r] = a
                 pairs = mdp.transitions[s][a]
                 succ_counts.append(len(pairs))
                 for t, p in pairs:
@@ -205,10 +203,9 @@ class FloatView:
         self.discounts = np.array([float(d) for d in asym.discounts])
         self.row_ptr = row_ptr
         self.row_state = row_state
-        self.row_action = row_action
-        self.succ_ptr = np.concatenate(
-            [[0], np.cumsum(np.asarray(succ_counts, dtype=np.int64))]
-        )
+        succ_counts = np.asarray(succ_counts, dtype=np.int64)
+        self.succ_ptr = np.concatenate([[0], np.cumsum(succ_counts)])
+        self.succ_row = np.repeat(np.arange(n_rows), succ_counts)  # row of each entry
         self.succ_idx = np.asarray(succ_idx, dtype=np.int64)
         self.succ_prob = np.asarray(succ_prob, dtype=np.float64)
         self.rewards = rewards

@@ -74,38 +74,30 @@ def advantages(
     mode: NumericMode = FLOAT,
     zero_tolerance: float | None = None,
 ) -> AdvantageTable:
-    """Advantage table for every enabled (state, action) pair."""
+    """Advantage table for every enabled (state, action) pair.
+
+    Exact mode sums each row over Fractions.  Float mode computes the whole
+    n_rows x n_principals table from the FloatView arrays as
+    r + lam * (P @ V) - V[state] (successor sums by segment) and clamps
+    entries within `zero_tolerance` of zero.  Both then certify that
+    retained rows are zero and that no removed row leads with a positive
+    entry."""
     exact = mode.is_exact
-    if zero_tolerance is None:
-        if exact:
-            zero_tolerance = 0.0
-        else:
+    if exact:
+        zero_tolerance = 0.0 if zero_tolerance is None else zero_tolerance
+        table = _advantage_rows_exact(asym, lt)
+    else:
+        if zero_tolerance is None:
             scale = max(
                 (float(np.max(np.abs(np.asarray(v.values, dtype=float)))))
                 for v in lt.values
             )
             zero_tolerance = 1e-7 * max(1.0, scale)
+        table = _advantage_rows_float(asym, lt, zero_tolerance)
     delta0 = {}
     retained = set()
     minimal = {}
-    trans = asym.mdp.transitions
-    for s, a in asym.rows():
-        row = []
-        for i in range(asym.n_principals):
-            v = lt.values[i].values
-            lam = asym.discounts[i] if exact else float(asym.discounts[i])
-            r = asym.rewards[s][a][i]
-            if exact:
-                d = r + lam * sum(p * v[t] for t, p in trans[s][a]) - v[s]
-            else:
-                d = (
-                    float(r)
-                    + lam * sum(float(p) * v[t] for t, p in trans[s][a])
-                    - v[s]
-                )
-                if abs(d) <= zero_tolerance:
-                    d = 0.0
-            row.append(d)
+    for (s, a), row in zip(asym.rows(), table):
         is_retained = a in lt.restricted[s]
         if is_retained:
             retained.add((s, a))
@@ -132,6 +124,28 @@ def advantages(
         minimal_nonzero=minimal,
         zero_tolerance=zero_tolerance,
     )
+
+
+def _advantage_rows_exact(asym, lt):
+    trans = asym.mdp.transitions
+    return [
+        [
+            asym.rewards[s][a][i]
+            + lam * sum(p * v.values[t] for t, p in trans[s][a])
+            - v.values[s]
+            for i, (lam, v) in enumerate(zip(asym.discounts, lt.values))
+        ]
+        for s, a in asym.rows()
+    ]
+
+
+def _advantage_rows_float(asym, lt, zero_tolerance):
+    view = asym.float_view()
+    v = np.array([vec.values for vec in lt.values], dtype=float).T
+    succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
+    delta = view.rewards + view.discounts * succ - v[view.row_state]
+    delta[np.abs(delta) <= zero_tolerance] = 0.0
+    return delta.tolist()
 
 
 def find_kappa(
@@ -317,12 +331,18 @@ def _backward_induction_exact(asym, adv, kappa):
 
 
 def _backward_induction_float(asym, adv, kappa):
+    """Backward induction over the FloatView rows.  Each layer scores every
+    row as delta @ lam^j plus its expected successor gain, then takes a
+    segment argmax per state: the segment maximum, then the least row
+    index that attains it, so ties go to the lowest action index."""
     view = asym.float_view()
     n = asym.n_principals
     delta = np.zeros((view.n_rows, n))
     for (s, a), row in adv.delta0.items():
         delta[view.row_index(s, a)] = [float(d) for d in row]
     lams = view.discounts
+    starts = view.row_ptr[:-1]
+    row_ids = np.arange(view.n_rows)
     e = np.zeros(view.n_states)
     prefix = [None] * kappa
     with np.errstate(under="ignore"):
@@ -332,15 +352,9 @@ def _backward_induction_float(asym, adv, kappa):
                 view.succ_prob * e[view.succ_idx], view.succ_ptr[:-1]
             )
             vals = layer_r + glue
-            new_e = np.empty(view.n_states)
-            row_actions = []
-            for s in range(view.n_states):
-                lo, hi = int(view.row_ptr[s]), int(view.row_ptr[s + 1])
-                a = int(np.argmax(vals[lo:hi]))  # first max: lowest index wins ties
-                row_actions.append(a)
-                new_e[s] = vals[lo + a]
-            e = new_e
-            prefix[j] = row_actions
+            e = np.maximum.reduceat(vals, starts)
+            ties = np.where(vals == e[view.row_state], row_ids, view.n_rows)
+            prefix[j] = (np.minimum.reduceat(ties, starts) - starts).tolist()
     return prefix, e.tolist()
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpwf import (
     EXACT,
@@ -11,13 +13,15 @@ from mdpwf import (
     DisabledActionError,
     MixedStationaryStrategy,
     RandomMdpConfig,
+    badly_spaced,
     eval_counting,
     eval_positional,
     eval_stationary_mixed,
     merge_equal_discounts,
+    optimize,
     random_mdp,
 )
-from mdpwf.evaluate import counting_value_from, value_iteration_fixed_policy
+from mdpwf.evaluate import counting_value_from
 
 
 def hotel_payoff(lam: Fraction, k: int) -> Fraction:
@@ -86,6 +90,22 @@ def test_mixed_invalid_distribution(investment):
         eval_stationary_mixed(investment, mix, EXACT)
 
 
+@pytest.mark.parametrize(
+    "kappa, prefix, message",
+    [
+        (2, [[0, 0], [0, 5]], "state 's1' has no action index 5"),
+        (2, [[0, 0], [-1, 7]], "state 's0' has no action index -1"),
+        (2, [[0, 0], [0]], "strategy length does not match state count"),
+        (3, [[0, 0]], "prefix depth does not match kappa"),
+    ],
+)
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_counting_rejects_first_invalid_entry(investment, kappa, prefix, message, mode):
+    cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=[1, 0])
+    with pytest.raises(DisabledActionError, match=message):
+        eval_counting(investment, cs, mode)
+
+
 def test_counting_two_step_wait(investment):
     cs = CountingStrategy(kappa=2, prefix=[[0, 0], [0, 0]], tail=[1, 0])
     res = eval_counting(investment, cs, EXACT)
@@ -143,6 +163,24 @@ def test_merge_invariance_counting(twins):
     )
 
 
+def value_iteration_fixed_policy(asym, sigma, principal, sweeps):
+    """Iterative evaluation of a fixed policy (test oracle)."""
+    view = asym.float_view()
+    lam = float(view.discounts[principal])
+    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
+    v = np.zeros(view.n_states)
+    for _ in range(sweeps):
+        nv = np.empty_like(v)
+        for s in range(view.n_states):
+            row = rows[s]
+            lo, hi = view.succ_ptr[row], view.succ_ptr[row + 1]
+            nv[s] = view.rewards[row, principal] + lam * float(
+                np.dot(view.succ_prob[lo:hi], v[view.succ_idx[lo:hi]])
+            )
+        v = nv
+    return v
+
+
 def test_positional_matches_fixed_policy_iteration():
     for seed in range(100):
         cfg = RandomMdpConfig(
@@ -180,3 +218,45 @@ def test_forward_propagation_matches_backward():
             assert abs(sw - res.social_welfare[start]) < 1e-10
             for i in range(2):
                 assert abs(payoffs[i] - res.per_principal[i][start]) < 1e-10
+
+
+def _assert_float_matches_exact(asym, cs):
+    got = eval_counting(asym, cs, FLOAT)
+    want = eval_counting(asym, cs, EXACT)
+    for f, e in zip(got.per_principal, want.per_principal):
+        assert f == pytest.approx([float(x) for x in e], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "asym",
+    [
+        random_mdp(RandomMdpConfig(num_states=30, num_principals=20, seed=0)),
+        badly_spaced(10),
+    ],
+    ids=["random-30x20", "badly_spaced-10"],
+)
+def test_float_counting_matches_exact_on_optimum(asym):
+    cs = optimize(asym, mode=FLOAT).strategy
+    assert cs.kappa > 0  # 23 and 761: the prefix recursion runs
+    _assert_float_matches_exact(asym, cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_float_counting_matches_exact_property(data):
+    asym = random_mdp(
+        RandomMdpConfig(
+            num_states=data.draw(st.integers(1, 4), label="states"),
+            actions_per_state=data.draw(st.integers(1, 3), label="actions"),
+            num_principals=data.draw(st.integers(1, 3), label="principals"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+    )
+    positional = st.tuples(
+        *(st.integers(0, len(acts) - 1) for acts in asym.mdp.actions)
+    ).map(list)
+    prefix = data.draw(st.lists(positional, max_size=6), label="prefix")
+    tail = data.draw(positional, label="tail")
+    _assert_float_matches_exact(
+        asym, CountingStrategy(kappa=len(prefix), prefix=prefix, tail=tail)
+    )

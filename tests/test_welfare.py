@@ -374,3 +374,23 @@ def test_optimize_badly_spaced_end_to_end():
         - float(rep.baseline)
         - float(rep.deviation_gain)
     ) < 1e-9
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_backward_induction_ties_go_to_lowest_index(mode):
+    """investment with its waiting action after the investing one and a
+    twin of each: every prefix row plays the lower index of each pair."""
+    asym = AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("Alice", Fraction(2, 3)), ("Bob", Fraction(1, 3))],
+        actions=[
+            ("s0", "b", [("s1", 1)], -1),
+            ("s0", "a", [("s0", 1)], 3),
+            ("s0", "a_twin", [("s0", 1)], 3),
+            ("s1", "b", [("s1", 1)], 6),
+            ("s1", "b_twin", [("s1", 1)], 6),
+        ],
+    )
+    res = optimize(asym, mode=mode)
+    assert res.kappa == 2
+    assert res.strategy.prefix == [[1, 0], [1, 0]]
