@@ -1,5 +1,5 @@
-"""Exact evaluation of positional, mixed-stationary, and counting
-strategies: per-principal discounted payoffs and social welfare."""
+"""Evaluation of positional, mixed-stationary, and counting strategies:
+per-principal discounted payoffs and social welfare, exact or binary64."""
 
 from __future__ import annotations
 
@@ -9,14 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (
-    markov_values_exact,
-    markov_values_float,
-    policy_topo_order,
-    policy_values_exact,
-    policy_values_float,
-)
-from .model import AsymMdp
+from .linalg import policy_topo_order, policy_values_exact, policy_values_float
+from .model import AsymMdp, Mdp
 from .numeric import FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
 
@@ -58,33 +52,29 @@ def eval_positional(asym: AsymMdp, sigma, mode: NumericMode = FLOAT) -> EvalResu
 def eval_stationary_mixed(
     asym: AsymMdp, strategy: MixedStationaryStrategy, mode: NumericMode = FLOAT
 ) -> EvalResult:
-    """Payoffs of a per-state action distribution via the averaged chain."""
+    """Payoffs of a per-state action distribution: the positional value of
+    the averaged chain, a model with one action per state."""
     strategy.check(asym, tolerance=0.0 if mode.is_exact else 1e-12)
-    n = asym.n_states
     avg_trans = []
-    for s in range(n):
+    avg_rewards = []
+    for s, dist in enumerate(strategy.probs):
         acc = {}
-        for a, w in enumerate(strategy.probs[s]):
+        for a, w in enumerate(dist):
             if w == 0:
                 continue
             for t, p in asym.mdp.transitions[s][a]:
                 acc[t] = acc.get(t, Fraction(0)) + w * p
-        avg_trans.append(list(acc.items()))
-    vectors = []
-    for i in range(asym.n_principals):
-        rewards = [
-            sum(
-                (w * asym.rewards[s][a][i] for a, w in enumerate(strategy.probs[s]) if w),
-                Fraction(0),
-            )
-            for s in range(n)
-        ]
-        lam = asym.discounts[i]
-        if mode.is_exact:
-            vectors.append(markov_values_exact(avg_trans, rewards, lam))
-        else:
-            vectors.append(markov_values_float(avg_trans, rewards, lam))
-    return _bundle(vectors)
+        avg_trans.append([list(acc.items())])
+        avg_rewards.append([[
+            sum((w * r[i] for w, r in zip(dist, asym.rewards[s]) if w), Fraction(0))
+            for i in range(asym.n_principals)
+        ]])
+    chain = AsymMdp(
+        mdp=Mdp(asym.mdp.states, [["mixed"]] * asym.n_states, avg_trans),
+        principals=asym.principals,
+        rewards=avg_rewards,
+    )
+    return eval_positional(chain, [0] * asym.n_states, mode)
 
 
 def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:
@@ -92,34 +82,17 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
 
     Computed by backward recursion over the prefix steps on top of the
     tail's positional values; equals the forward expectation
-    sum_j lam^j E[R] plus the lam^kappa-weighted tail value.  Exact mode
-    recurses per principal over Fractions.  Float mode holds all
-    principals at once in an n_states x n_principals array and reads only
-    the FloatView arrays: each step is one segment sum of successor values
+    sum_j lam^j E[R] plus the lam^kappa-weighted tail value.  Both modes
+    hold all principals at once in an n_states x n_principals array over
+    the mode's row view: each step is one segment sum of successor values
     over every row, then a gather of the rows that step plays.
     """
     cs.check(asym)
     tail_vals = eval_positional(asym, cs.tail, mode)
-    if not mode.is_exact:
-        return _bundle(_counting_values_float(asym.float_view(), cs, tail_vals))
-    trans = asym.mdp.transitions
-    vectors = []
-    for i in range(asym.n_principals):
-        lam = asym.discounts[i]
-        u = list(tail_vals.per_principal[i])
-        for j in range(cs.kappa - 1, -1, -1):
-            row = cs.prefix[j]
-            nu = []
-            for s in range(asym.n_states):
-                a = row[s]
-                r = asym.rewards[s][a][i]
-                nu.append(r + lam * sum(p * u[t] for t, p in trans[s][a]))
-            u = nu
-        vectors.append(u)
-    return _bundle(vectors)
+    return _bundle(_counting_values(asym.float_view(mode), cs, tail_vals))
 
 
-def _counting_values_float(view, cs, tail_vals):
+def _counting_values(view, cs, tail_vals):
     """Per-principal value lists of a checked counting strategy, given its
     tail's values."""
     n = view.n_states
@@ -127,7 +100,7 @@ def _counting_values_float(view, cs, tail_vals):
         itertools.chain.from_iterable(cs.prefix), dtype=np.intp, count=cs.kappa * n
     ).reshape(cs.kappa, n)
     rows += view.row_ptr[:-1]
-    u = np.array(tail_vals.per_principal).T
+    u = np.array(tail_vals.per_principal, dtype=view.dtype).T
     prob = view.succ_prob[:, None]
     starts = view.succ_ptr[:-1]
     for played in rows[::-1]:

@@ -127,24 +127,3 @@ def policy_values_float(view, sigma, principal):
         (data, (src, cols)), shape=(n, n)
     ).tocsr() + sparse.identity(n, format="csr")
     return spsolve(a, r)
-
-
-def markov_values_exact(transitions, rewards, lam):
-    """Exact values of a Markov chain: transitions[s] = [(t, p)], rewards[s]."""
-    n = len(rewards)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = list(rewards)
-    for s in range(n):
-        a[s][s] = Fraction(1)
-        for t, p in transitions[s]:
-            a[s][t] -= lam * p
-    return exact_gauss(a, b)
-
-
-def markov_values_float(transitions, rewards, lam):
-    n = len(rewards)
-    a = np.eye(n)
-    for s in range(n):
-        for t, p in transitions[s]:
-            a[s][t] -= float(lam) * float(p)
-    return np.linalg.solve(a, np.asarray([float(r) for r in rewards]))

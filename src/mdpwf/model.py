@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class AsymMdp:
     principals: list[Principal]
     rewards: list[list[list[Fraction]]]
     metadata: dict = field(default_factory=dict, compare=False)
-    _float_view: object = field(default=None, repr=False, compare=False)
+    _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -165,53 +166,46 @@ class AsymMdp:
             metadata=dict(self.metadata),
         )
 
-    def float_view(self) -> "FloatView":
-        if self._float_view is None:
-            self._float_view = FloatView(self)
-        return self._float_view
+    def float_view(self, mode: NumericMode = FLOAT) -> "FloatView":
+        """The model's row arrays in the number type of `mode`, cached."""
+        if mode.is_exact not in self._views:
+            self._views[mode.is_exact] = FloatView(self, mode)
+        return self._views[mode.is_exact]
 
 
 class FloatView:
-    """Flattened binary64 arrays over the enabled (state, action) rows."""
+    """Flattened arrays over the enabled (state, action) rows, in CSR form.
 
-    def __init__(self, asym: AsymMdp):
+    Numbers are binary64 in float mode and `object` arrays holding the
+    model's own Fractions in exact mode, so one array expression serves
+    both; index arrays are int64 either way."""
+
+    def __init__(self, asym: AsymMdp, mode: NumericMode = FLOAT):
         mdp = asym.mdp
-        n_states = mdp.n_states
-        row_ptr = np.zeros(n_states + 1, dtype=np.int64)
-        for s in range(n_states):
-            row_ptr[s + 1] = row_ptr[s] + len(mdp.actions[s])
-        n_rows = int(row_ptr[-1])
-        row_state = np.zeros(n_rows, dtype=np.int64)
-        succ_counts = []
-        succ_idx = []
-        succ_prob = []
-        rewards = np.zeros((n_rows, asym.n_principals), dtype=np.float64)
-        r = 0
-        for s in range(n_states):
-            for a in range(len(mdp.actions[s])):
-                row_state[r] = s
-                pairs = mdp.transitions[s][a]
-                succ_counts.append(len(pairs))
-                for t, p in pairs:
-                    succ_idx.append(t)
-                    succ_prob.append(float(p))
-                rewards[r] = [float(x) for x in asym.rewards[s][a]]
-                r += 1
-        self.n_states = n_states
-        self.n_rows = n_rows
+        rows = list(asym.rows())
+        pairs = [mdp.transitions[s][a] for s, a in rows]
+        counts = [len(acts) for acts in mdp.actions]
+        succ_counts = [len(p) for p in pairs]
+        self.dtype = mode.dtype
+        self.n_states = mdp.n_states
+        self.n_rows = len(rows)
         self.n_principals = asym.n_principals
-        self.discounts = np.array([float(d) for d in asym.discounts])
-        self.row_ptr = row_ptr
-        self.row_state = row_state
-        succ_counts = np.asarray(succ_counts, dtype=np.int64)
-        self.succ_ptr = np.concatenate([[0], np.cumsum(succ_counts)])
-        self.succ_row = np.repeat(np.arange(n_rows), succ_counts)  # row of each entry
-        self.succ_idx = np.asarray(succ_idx, dtype=np.int64)
-        self.succ_prob = np.asarray(succ_prob, dtype=np.float64)
-        self.rewards = rewards
+        self.discounts = self._numbers(asym.discounts)
+        self.row_ptr = np.array([*accumulate(counts, initial=0)], dtype=np.int64)
+        self.row_state = np.repeat(np.arange(self.n_states), counts)
+        self.succ_ptr = np.array([*accumulate(succ_counts, initial=0)], dtype=np.int64)
+        self.succ_row = np.repeat(np.arange(self.n_rows), succ_counts)  # row of each entry
+        self.succ_idx = np.array([t for row in pairs for t, _ in row], dtype=np.int64)
+        self.succ_prob = self._numbers([p for row in pairs for _, p in row])
+        self.rewards = self._numbers(
+            [r for s, a in rows for r in asym.rewards[s][a]]
+        ).reshape(self.n_rows, self.n_principals)
 
-    def row_index(self, s: int, a: int) -> int:
-        return int(self.row_ptr[s]) + a
+    def _numbers(self, values):
+        if self.dtype is object:
+            return np.array(values, dtype=object)
+        # float() converts a Fraction faster than numpy's cast, to the same double
+        return np.array([float(x) for x in values], dtype=np.float64)
 
 
 # -- validation ---------------------------------------------------------

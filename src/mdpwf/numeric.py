@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 # Probability rows must sum to 1 within this bound in float mode.
 ROW_SUM_TOL = 1e-12
 
@@ -37,6 +39,11 @@ class NumericMode:
     @property
     def is_exact(self):
         return self.kind == "exact"
+
+    @property
+    def dtype(self):
+        """Array element type of the mode: Fraction objects or binary64."""
+        return object if self.is_exact else np.float64
 
     @property
     def default_slack(self):

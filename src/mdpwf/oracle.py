@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
-from .linalg import policy_values_exact
+from .linalg import policy_topo_order, policy_values_exact
 from .model import AsymMdp
 from .numeric import EXACT, FLOAT, NumericMode
 from .strategies import CountingStrategy
@@ -21,29 +21,11 @@ DEFAULT_CAP = 10**6
 def _full_graph_topo(asym):
     """Reverse topological order of the union graph over all actions,
     ignoring self loops; None if cyclic.  Valid for every policy."""
-    n = asym.n_states
-    succs = [set() for _ in range(n)]
-    for s, a in asym.rows():
-        for t, _ in asym.mdp.transitions[s][a]:
-            if t != s:
-                succs[s].add(t)
-    indeg = [0] * n
-    for s in range(n):
-        for t in succs[s]:
-            indeg[t] += 1
-    stack = [s for s in range(n) if indeg[s] == 0]
-    order = []
-    while stack:
-        s = stack.pop()
-        order.append(s)
-        for t in succs[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                stack.append(t)
-    if len(order) < n:
-        return None
-    order.reverse()
-    return order
+    union = [
+        [list({t: p for succ in per_action for t, p in succ}.items())]
+        for per_action in asym.mdp.transitions
+    ]
+    return policy_topo_order(union, [0] * asym.n_states)
 
 
 class _FastPositional:

@@ -75,9 +75,7 @@ def solve_discounted(
     if not 0 < lam < 1:
         raise ValueError("discount factor must lie in (0, 1)")
     if method == "pi":
-        if mode.is_exact:
-            return _policy_iteration_exact(asym, principal, restriction)
-        return _policy_iteration_float(asym, principal, restriction)
+        return _policy_iteration(asym, principal, restriction, mode)
     if method == "vi":
         if mode.is_exact:
             raise ValueError("value iteration requires float mode (exact mode has tolerance 0)")
@@ -115,41 +113,7 @@ def optimal_action_set(
     return sets
 
 
-# -- exact policy iteration ------------------------------------------------
-
-
-def _q_exact(asym, principal, restriction, v):
-    lam = asym.discounts[principal]
-    q = {}
-    for s in range(asym.n_states):
-        for a in restriction[s]:
-            acc = asym.rewards[s][a][principal]
-            for t, p in asym.mdp.transitions[s][a]:
-                acc += lam * p * v[t]
-            q[(s, a)] = acc
-    return q
-
-
-def _policy_iteration_exact(asym, principal, restriction):
-    sigma = [allowed[0] for allowed in restriction]
-    lam = asym.discounts[principal]
-    for _ in range(100_000):
-        v = policy_values_exact(asym, sigma, principal)
-        q = _q_exact(asym, principal, restriction, v)
-        changed = False
-        for s in range(asym.n_states):
-            best = max(restriction[s], key=lambda a: q[(s, a)])
-            if q[(s, best)] > q[(s, sigma[s])]:
-                # strict improvement only; keeps iteration acyclic
-                sigma[s] = best
-                changed = True
-        if not changed:
-            vv = ValueVector(values=v, discount=lam, principal=principal)
-            return SolveResult(values=vv, q=QTable(q), strategy=sigma)
-    raise ConvergenceError("policy iteration failed to stabilise")
-
-
-# -- float back-ends -------------------------------------------------------
+# -- back-ends ---------------------------------------------------------------
 
 
 def _restriction_arrays(view, restriction):
@@ -169,32 +133,34 @@ def _one_step_all_rows(view, principal, lam, v):
 
 
 def _q_dict(view, restriction, q_all):
-    q = {}
-    for s, allowed in enumerate(restriction):
-        base = int(view.row_ptr[s])
-        for a in allowed:
-            q[(s, a)] = float(q_all[base + a])
-    return q
+    starts = view.row_ptr.tolist()
+    q = q_all.tolist()
+    return {(s, a): q[starts[s] + a] for s, allowed in enumerate(restriction) for a in allowed}
 
 
-def _policy_iteration_float(asym, principal, restriction):
-    view = asym.float_view()
-    lam = float(view.discounts[principal])
+def _policy_iteration(asym, principal, restriction, mode):
+    """Policy iteration over the mode's row view.  A state switches to its
+    best allowed action (the lowest index among ties) only when that
+    improves its q-value by more than eps: 0 in exact mode, which keeps
+    the iteration acyclic, and 1e-12 * max(1, max|v|) in float mode."""
+    view = asym.float_view(mode)
+    lam = view.discounts[principal]
+    starts = view.row_ptr.tolist()
     sigma = [allowed[0] for allowed in restriction]
     for _ in range(100_000):
-        v = policy_values_float(view, sigma, principal)
-        q_all = _one_step_all_rows(view, principal, lam, v)
-        eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        if mode.is_exact:
+            v = policy_values_exact(asym, sigma, principal)
+            eps = 0
+        else:
+            v = policy_values_float(view, sigma, principal)
+            eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        q_all = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
+        q = q_all.tolist()
         changed = False
-        for s in range(asym.n_states):
-            base = int(view.row_ptr[s])
-            allowed = restriction[s]
-            best = allowed[0]
-            best_q = q_all[base + best]
-            for a in allowed[1:]:
-                if q_all[base + a] > best_q:
-                    best, best_q = a, q_all[base + a]
-            if best != sigma[s] and best_q > q_all[base + sigma[s]] + eps:
+        for s, allowed in enumerate(restriction):
+            qs = q[starts[s]:starts[s + 1]]
+            best = max(allowed, key=qs.__getitem__)
+            if qs[best] > qs[sigma[s]] + eps:
                 sigma[s] = best
                 changed = True
         if not changed:

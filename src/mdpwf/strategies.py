@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DisabledActionError, FormatError
-from .model import AsymMdp
-from .numeric import as_fraction, format_fraction
+from .model import AsymMdp, _check_fields, _parse_number
+from .numeric import format_fraction
 
 # One enabled action index per state.
 Positional = "list[int]"
@@ -107,52 +107,88 @@ class CountingStrategy:
 # -- strategy files -------------------------------------------------------
 
 
+def _field(rec, name, where, kind=None):
+    """rec[name], once rec is an object holding it (of type `kind` if given)."""
+    if not isinstance(rec, dict):
+        raise FormatError("expected an object", location=where)
+    if name not in rec:
+        raise FormatError(f"missing field {name!r}", location=where)
+    if kind is not None and not isinstance(rec[name], kind):
+        raise FormatError(f"field {name!r} must be a {kind.__name__}", location=where)
+    return rec[name]
+
+
+def _int_field(rec, name, where):
+    value = _field(rec, name, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"field {name!r} is not an integer: {value!r}", location=where) from None
+
+
 def _pairs_to_positional(asym, records, where):
     mapping = {}
-    for rec in records:
-        for key in rec:
-            if key not in ("state", "action"):
-                raise FormatError(f"unknown field {key!r}", location=where)
-        mapping[rec["state"]] = rec["action"]
-    return positional_from_names(asym, mapping)
+    for k, rec in enumerate(records):
+        rwhere = f"{where}[{k}]"
+        _check_fields(rec, {"state", "action"}, rwhere)
+        mapping[_field(rec, "state", rwhere, str)] = _field(rec, "action", rwhere)
+    try:
+        return positional_from_names(asym, mapping)
+    except KeyError as e:
+        raise FormatError(e.args[0], location=where) from None
 
 
 def parse_strategy(text: str, asym: AsymMdp):
     """Parse a strategy file; returns a positional list,
-    MixedStationaryStrategy, or CountingStrategy depending on "type"."""
+    MixedStationaryStrategy, or CountingStrategy depending on "type".
+    Malformed input raises FormatError naming its location."""
     try:
         raw = json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from None
-    kind = raw.get("type")
+    kind = _field(raw, "type", "top level")
     if kind == "positional":
-        return _pairs_to_positional(asym, raw["actions"], "actions")
+        return _pairs_to_positional(asym, _field(raw, "actions", "top level", list), "actions")
     if kind == "mixed":
+        by_state = {}
+        for k, rec in enumerate(_field(raw, "distributions", "top level", list)):
+            where = f"distributions[{k}]"
+            state = _field(rec, "state", where, str)
+            by_state[state] = (_field(rec, "choices", where, list), where)
         probs = []
-        by_state = {rec["state"]: rec["choices"] for rec in raw["distributions"]}
         for s, state in enumerate(asym.mdp.states):
             if state not in by_state:
                 raise FormatError(f"mixed strategy does not cover state {state!r}")
+            choices, where = by_state[state]
             dist = [Fraction(0)] * len(asym.mdp.actions[s])
-            for choice in by_state[state]:
-                a = asym.action_index(s, choice["action"])
-                dist[a] = as_fraction(choice["prob"])
+            for j, choice in enumerate(choices):
+                cwhere = f"{where}.choices[{j}]"
+                try:
+                    a = asym.action_index(s, _field(choice, "action", cwhere))
+                except KeyError as e:
+                    raise FormatError(e.args[0], location=cwhere) from None
+                dist[a] = _parse_number(_field(choice, "prob", cwhere), cwhere)
             probs.append(dist)
         return MixedStationaryStrategy(probs)
     if kind == "counting":
-        kappa = int(raw["kappa"])
+        kappa = _int_field(raw, "kappa", "top level")
         if kappa < 0:
-            raise FormatError("kappa must be nonnegative")
-        tail = _pairs_to_positional(asym, raw["tail"], "tail")
+            raise FormatError("kappa must be nonnegative", location="top level")
+        tail = _pairs_to_positional(asym, _field(raw, "tail", "top level", list), "tail")
         prefix = [list(tail) for _ in range(kappa)]
-        for rec in raw.get("prefix", []):
-            step = int(rec["step"])
+        records = _field(raw, "prefix", "top level", list) if "prefix" in raw else []
+        for k, rec in enumerate(records):
+            where = f"prefix[{k}]"
+            step = _int_field(rec, "step", where)
             if not (0 <= step < kappa):
-                raise FormatError(f"prefix step {step} outside 0..kappa-1")
-            s = asym.state_index(rec["state"])
-            prefix[step][s] = asym.action_index(s, rec["action"])
+                raise FormatError(f"prefix step {step} outside 0..kappa-1", location=where)
+            try:
+                s = asym.state_index(_field(rec, "state", where))
+                prefix[step][s] = asym.action_index(s, _field(rec, "action", where))
+            except KeyError as e:
+                raise FormatError(e.args[0], location=where) from None
         return CountingStrategy(kappa=kappa, prefix=prefix, tail=tail)
-    raise FormatError(f"unknown strategy type {kind!r}")
+    raise FormatError(f"unknown strategy type {kind!r}", location="top level")
 
 
 def load_strategy(path, asym: AsymMdp):

@@ -65,39 +65,27 @@ class AdvantageTable:
     delta0: dict
     retained: set
     minimal_nonzero: dict  # (s, a) -> least i with delta0 != 0, or None
-    zero_tolerance: float
 
 
-def advantages(
-    asym: AsymMdp,
-    lt: LongTermResult,
-    mode: NumericMode = FLOAT,
-    zero_tolerance: float | None = None,
-) -> AdvantageTable:
+def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> AdvantageTable:
     """Advantage table for every enabled (state, action) pair.
 
-    Exact mode sums each row over Fractions.  Float mode computes the whole
-    n_rows x n_principals table from the FloatView arrays as
-    r + lam * (P @ V) - V[state] (successor sums by segment) and clamps
-    entries within `zero_tolerance` of zero.  Both then certify that
-    retained rows are zero and that no removed row leads with a positive
-    entry."""
+    Computes the whole n_rows x n_principals table from the mode's row
+    view as r + lam * (P @ V) - V[state] (successor sums by segment).
+    Float mode clamps entries within 1e-7 * max(1, max|V|) of zero.  Then
+    certifies that retained rows are zero and that no removed row leads
+    with a positive entry."""
     exact = mode.is_exact
-    if exact:
-        zero_tolerance = 0.0 if zero_tolerance is None else zero_tolerance
-        table = _advantage_rows_exact(asym, lt)
-    else:
-        if zero_tolerance is None:
-            scale = max(
-                (float(np.max(np.abs(np.asarray(v.values, dtype=float)))))
-                for v in lt.values
-            )
-            zero_tolerance = 1e-7 * max(1.0, scale)
-        table = _advantage_rows_float(asym, lt, zero_tolerance)
+    view = asym.float_view(mode)
+    v = np.array([vec.values for vec in lt.values], dtype=view.dtype).T
+    succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
+    delta = view.rewards + view.discounts * succ - v[view.row_state]
+    if not exact:
+        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.max(np.abs(v))))] = 0.0
     delta0 = {}
     retained = set()
     minimal = {}
-    for (s, a), row in zip(asym.rows(), table):
+    for (s, a), row in zip(asym.rows(), delta.tolist()):
         is_retained = a in lt.restricted[s]
         if is_retained:
             retained.add((s, a))
@@ -118,34 +106,7 @@ def advantages(
             )
         delta0[(s, a)] = row
         minimal[(s, a)] = first
-    return AdvantageTable(
-        delta0=delta0,
-        retained=retained,
-        minimal_nonzero=minimal,
-        zero_tolerance=zero_tolerance,
-    )
-
-
-def _advantage_rows_exact(asym, lt):
-    trans = asym.mdp.transitions
-    return [
-        [
-            asym.rewards[s][a][i]
-            + lam * sum(p * v.values[t] for t, p in trans[s][a])
-            - v.values[s]
-            for i, (lam, v) in enumerate(zip(asym.discounts, lt.values))
-        ]
-        for s, a in asym.rows()
-    ]
-
-
-def _advantage_rows_float(asym, lt, zero_tolerance):
-    view = asym.float_view()
-    v = np.array([vec.values for vec in lt.values], dtype=float).T
-    succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
-    delta = view.rewards + view.discounts * succ - v[view.row_state]
-    delta[np.abs(delta) <= zero_tolerance] = 0.0
-    return delta.tolist()
+    return AdvantageTable(delta0=delta0, retained=retained, minimal_nonzero=minimal)
 
 
 def find_kappa(
@@ -160,7 +121,9 @@ def find_kappa(
     forward scan stops at the first satisfying depth.
 
     Each row is rescaled by its leading discount power so the test stays
-    meaningful at depths where lam^j underflows binary64.
+    meaningful at depths where lam^j underflows binary64.  The rows and the
+    ratio table lam_p / lam_lead are arrays in the mode's number type; the
+    ratios are formed from the exact discounts first, then cast.
     """
     if slack is None:
         slack = mode.default_slack
@@ -172,43 +135,15 @@ def find_kappa(
     if not rows:
         return 0
     lams = asym.discounts
-    n = asym.n_principals
-    if mode.is_exact:
-        cur = []
-        ratios = []
-        for (key, imin) in rows:
-            cur.append(list(adv.delta0[key]))
-            ratios.append([lams[p] / lams[imin] for p in range(n)])
-        j = 0
-        while True:
-            ok = True
-            for terms in cur:
-                acc = Fraction(0)
-                for t in terms:
-                    acc += t
-                    if acc > slack:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return j
-            if j >= max_kappa:
-                raise HorizonExceededError(max_kappa, _worst_pair(asym, rows, cur))
-            for terms, rats in zip(cur, ratios):
-                for p in range(n):
-                    terms[p] *= rats[p]
-            j += 1
-    u = np.array(
-        [[float(d) for d in adv.delta0[key]] for key, _ in rows], dtype=np.float64
-    )
+    u = np.array([adv.delta0[key] for key, _ in rows], dtype=mode.dtype)
     ratios = np.array(
-        [[float(lams[p] / lams[imin]) for p in range(n)] for _, imin in rows]
+        [[lam / lams[imin] for lam in lams] for _, imin in rows], dtype=mode.dtype
     )
-    slack_f = float(slack)
+    if not mode.is_exact:
+        slack = float(slack)
     j = 0
     while True:
-        if np.all(np.cumsum(u, axis=1) <= slack_f):
+        if np.all(np.cumsum(u, axis=1) <= slack):
             return j
         if j >= max_kappa:
             raise HorizonExceededError(max_kappa, _worst_pair(asym, rows, u))
@@ -302,48 +237,17 @@ class OptimizeResult:
     timings: dict
 
 
-def _backward_induction_exact(asym, adv, kappa):
-    n = asym.n_principals
-    lams = asym.discounts
-    trans = asym.mdp.transitions
-    pows = [[lam**j for lam in lams] for j in range(kappa)]
-    e = [Fraction(0)] * asym.n_states
-    prefix = [None] * kappa
-    for j in range(kappa - 1, -1, -1):
-        new_e = []
-        row_actions = []
-        for s in range(asym.n_states):
-            best_val = None
-            best_a = None
-            for a in range(len(asym.mdp.actions[s])):
-                d = adv.delta0[(s, a)]
-                val = sum(
-                    (pows[j][i] * d[i] for i in range(n) if d[i] != 0), Fraction(0)
-                )
-                val += sum(p * e[t] for t, p in trans[s][a])
-                if best_val is None or val > best_val:
-                    best_val, best_a = val, a
-            new_e.append(best_val)
-            row_actions.append(best_a)
-        e = new_e
-        prefix[j] = row_actions
-    return prefix, e
-
-
-def _backward_induction_float(asym, adv, kappa):
-    """Backward induction over the FloatView rows.  Each layer scores every
-    row as delta @ lam^j plus its expected successor gain, then takes a
-    segment argmax per state: the segment maximum, then the least row
+def _backward_induction(asym, adv, kappa, mode):
+    """Backward induction over the mode's row view.  Each layer scores
+    every row as delta @ lam^j plus its expected successor gain, then takes
+    a segment argmax per state: the segment maximum, then the least row
     index that attains it, so ties go to the lowest action index."""
-    view = asym.float_view()
-    n = asym.n_principals
-    delta = np.zeros((view.n_rows, n))
-    for (s, a), row in adv.delta0.items():
-        delta[view.row_index(s, a)] = [float(d) for d in row]
+    view = asym.float_view(mode)
+    delta = np.array([adv.delta0[key] for key in asym.rows()], dtype=view.dtype)
     lams = view.discounts
     starts = view.row_ptr[:-1]
     row_ids = np.arange(view.n_rows)
-    e = np.zeros(view.n_states)
+    e = np.zeros(view.n_states, dtype=view.dtype)
     prefix = [None] * kappa
     with np.errstate(under="ignore"):
         for j in range(kappa - 1, -1, -1):
@@ -375,10 +279,8 @@ def optimize(
     est = kappa_estimate(asym, adv, mode=mode)
     if kappa == 0:
         prefix, gain = [], _zero_gain(asym, mode)
-    elif mode.is_exact:
-        prefix, gain = _backward_induction_exact(asym, adv, kappa)
     else:
-        prefix, gain = _backward_induction_float(asym, adv, kappa)
+        prefix, gain = _backward_induction(asym, adv, kappa, mode)
     cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=lt.tail)
     payoffs = eval_counting(asym, cs, mode)
     t2 = time.perf_counter()

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from mdpwf import AsymMdp, builtin
+
+# Every run draws the same examples and leaves no example database behind.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

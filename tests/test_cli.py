@@ -95,6 +95,38 @@ def test_eval_positional_and_mixed_files(tmp_path, capsys):
     assert doc["values"]["s0"]["social_welfare"] == "41/3"
 
 
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ([1, 2], "at top level"),
+        ({"type": "positional"}, "missing field 'actions' (at top level)"),
+        ({"type": "positional", "actions": [{"state": "s0"}]}, "at actions[0]"),
+        ({"type": "positional", "actions": [[1]]}, "at actions[0]"),
+        (
+            {"type": "mixed", "distributions": [
+                {"state": "s0", "choices": [{"action": "a", "prob": "1/0"}]},
+                {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
+            ]},
+            "at distributions[0].choices[0]",
+        ),
+        ({"type": "mixed", "distributions": [{"state": "s0"}]}, "at distributions[0]"),
+        ({"type": "counting", "kappa": "two", "tail": []}, "at top level"),
+        (
+            {"type": "counting", "kappa": 1, "prefix": [{"step": 0, "state": "s9"}],
+             "tail": [{"state": "s0", "action": "a"}, {"state": "s1", "action": "b"}]},
+            "at prefix[0]",
+        ),
+    ],
+)
+def test_eval_malformed_strategy_names_location(tmp_path, capsys, doc, location):
+    path = _write_investment(tmp_path)
+    strat = tmp_path / "s.json"
+    strat.write_text(json.dumps(doc))
+    assert main(["eval", path, "--strategy", str(strat)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and location in err
+
+
 def test_solve_cli(tmp_path, capsys):
     path = _write_investment(tmp_path)
     csv_path = str(tmp_path / "values.csv")

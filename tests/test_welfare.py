@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpwf import (
     EXACT,
@@ -310,6 +312,34 @@ def test_float_and_exact_modes_agree_seeded():
                 )
                 < 1e-7 * scale
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    states=st.integers(1, 5),
+    actions=st.integers(1, 3),
+    principals=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_float_and_exact_optimize_agree_property(states, actions, principals, seed):
+    asym = random_mdp(
+        RandomMdpConfig(
+            num_states=states,
+            actions_per_state=actions,
+            num_principals=principals,
+            seed=seed,
+        )
+    )
+    f = optimize(asym, mode=FLOAT)
+    e = optimize(asym, mode=EXACT)
+    assert f.kappa == e.kappa
+    assert f.long_term.restricted == e.long_term.restricted
+    assert f.strategy.tail == e.strategy.tail
+    assert f.strategy.prefix == e.strategy.prefix
+    for name in asym.mdp.states:
+        want = e.reports[name].social_welfare
+        got = f.reports[name].social_welfare
+        assert abs(float(got) - float(want)) <= 1e-9 * max(1.0, abs(float(want)))
 
 
 def test_five_principal_cascade():
