@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, count, pairwise
 
 import numpy as np
 
@@ -56,15 +58,41 @@ def long_term(
     return LongTermResult(restricted=restriction, values=values, tail=tail)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdvantageTable:
-    """delta0[(s, a)][i]: principal i's one-step payoff difference for
-    playing a at s instead of its optimal continuation.  Rows of retained
-    actions are certified zero and clamped."""
+    """The advantage table over the rows of `asym.rows()`, as arrays.
 
-    delta0: dict
-    retained: set
-    minimal_nonzero: dict  # (s, a) -> least i with delta0 != 0, or None
+    delta[r, i] is principal i's one-step payoff difference for playing
+    row r's action instead of its optimal continuation: an n_rows x
+    n_principals C-contiguous array in the mode's number type.  lead[r] is
+    the least i with delta[r, i] != 0, or -1 for an all-zero row, and
+    kept[r] marks the rows of the final restriction, which are certified
+    zero.  The (s, a)-keyed views `delta0`, `retained` and
+    `minimal_nonzero` are built on first read and cannot be reassigned."""
+
+    asym: AsymMdp = field(repr=False)
+    delta: np.ndarray
+    lead: np.ndarray
+    kept: np.ndarray
+
+    def names(self, r):
+        """(state name, action name) of row r."""
+        s, a = list(self.asym.rows())[r]
+        return self.asym.mdp.states[s], self.asym.mdp.actions[s][a]
+
+    @cached_property
+    def delta0(self):
+        return dict(zip(self.asym.rows(), self.delta.tolist()))
+
+    @cached_property
+    def retained(self):
+        return frozenset(compress(self.asym.rows(), self.kept.tolist()))
+
+    @cached_property
+    def minimal_nonzero(self):
+        """(s, a) -> least i with delta0 != 0, or None."""
+        leads = [None if i < 0 else i for i in self.lead.tolist()]
+        return dict(zip(self.asym.rows(), leads))
 
 
 def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> AdvantageTable:
@@ -74,39 +102,31 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
     view as r + lam * (P @ V) - V[state] (successor sums by segment).
     Float mode clamps entries within 1e-7 * max(1, max|V|) of zero.  Then
     certifies that retained rows are zero and that no removed row leads
-    with a positive entry."""
-    exact = mode.is_exact
+    with a positive entry; the message names the first failing row."""
     view = asym.float_view(mode)
     v = np.array([vec.values for vec in lt.values], dtype=view.dtype).T
     succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
     delta = view.rewards + view.discounts * succ - v[view.row_state]
-    if not exact:
-        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.max(np.abs(v))))] = 0.0
-    delta0 = {}
-    retained = set()
-    minimal = {}
-    for (s, a), row in zip(asym.rows(), delta.tolist()):
-        is_retained = a in lt.restricted[s]
-        if is_retained:
-            retained.add((s, a))
-            bad = [i for i, d in enumerate(row) if d != 0]
-            if bad:
-                raise CertificationError(
-                    f"retained action ({asym.mdp.states[s]!r}, "
-                    f"{asym.mdp.actions[s][a]!r}) has nonzero advantage "
-                    f"for principal {bad[0]}: {row[bad[0]]}"
-                )
-            row = [Fraction(0) if exact else 0.0] * asym.n_principals
-        first = next((i for i, d in enumerate(row) if d != 0), None)
-        if not is_retained and first is not None and row[first] > 0:
-            raise CertificationError(
-                f"removed action ({asym.mdp.states[s]!r}, "
-                f"{asym.mdp.actions[s][a]!r}) has positive leading advantage "
-                f"{row[first]} for principal {first}"
-            )
-        delta0[(s, a)] = row
-        minimal[(s, a)] = first
-    return AdvantageTable(delta0=delta0, retained=retained, minimal_nonzero=minimal)
+    if not mode.is_exact:
+        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.abs(v).max()))] = 0.0
+    first = (delta != 0).argmax(axis=1)
+    leading = delta[np.arange(view.n_rows), first]  # 0 on all-zero rows
+    lead = first - (leading == 0)
+    starts = view.row_ptr.tolist()
+    kept = np.zeros(view.n_rows, dtype=bool)
+    kept[[starts[s] + a for s, allowed in enumerate(lt.restricted) for a in allowed]] = True
+    adv = AdvantageTable(asym, delta, lead, kept)
+    bad = (leading > 0) | (kept & (leading != 0))
+    if bad.any():
+        r = int(bad.argmax())
+        pair, i = adv.names(r), int(lead[r])
+        value = delta[r].tolist()[i]
+        raise CertificationError(
+            f"retained action {pair!r} has nonzero advantage for principal {i}: {value}"
+            if kept[r]
+            else f"removed action {pair!r} has positive leading advantage {value} for principal {i}"
+        )
+    return adv
 
 
 def find_kappa(
@@ -120,46 +140,32 @@ def find_kappa(
     simultaneously for all (s, a); the condition is absorbing, so the
     forward scan stops at the first satisfying depth.
 
-    Each row is rescaled by its leading discount power so the test stays
-    meaningful at depths where lam^j underflows binary64.  The rows and the
-    ratio table lam_p / lam_lead are arrays in the mode's number type; the
-    ratios are formed from the exact discounts first, then cast.
+    Each nonzero row is rescaled by its leading discount power so the test
+    stays meaningful at depths where lam^j underflows binary64.  The ratio
+    rows lam_p / lam_lead are formed from the exact discounts, once per
+    distinct leading index, then cast to the mode's number type.
     """
     if slack is None:
         slack = mode.default_slack
-    rows = [
-        (key, i)
-        for key, i in adv.minimal_nonzero.items()
-        if i is not None
-    ]
-    if not rows:
+    rows = (adv.lead >= 0).nonzero()[0]
+    if not rows.size:
         return 0
     lams = asym.discounts
-    u = np.array([adv.delta0[key] for key, _ in rows], dtype=mode.dtype)
-    ratios = np.array(
-        [[lam / lams[imin] for lam in lams] for _, imin in rows], dtype=mode.dtype
-    )
+    lead = adv.lead[rows]
+    table = np.zeros((len(lams), len(lams)), dtype=mode.dtype)
+    for i in set(lead.tolist()):
+        table[i] = [lam / lams[i] for lam in lams]
+    u = adv.delta[rows]
+    ratios = table[lead]
     if not mode.is_exact:
         slack = float(slack)
-    j = 0
-    while True:
-        if np.all(np.cumsum(u, axis=1) <= slack):
+    for j in count():
+        if (u.cumsum(axis=1) <= slack).all():
             return j
-        if j >= max_kappa:
-            raise HorizonExceededError(max_kappa, _worst_pair(asym, rows, u))
+        if j >= max_kappa:  # name the row whose prefix sums peak highest, first on ties
+            peaks = u.astype(float).cumsum(axis=1).max(axis=1)
+            raise HorizonExceededError(max_kappa, adv.names(rows[peaks.argmax()]))
         u *= ratios
-        j += 1
-
-
-def _worst_pair(asym, rows, cur):
-    worst, worst_val = None, None
-    for (key, _), terms in zip(rows, cur):
-        val = max(np.cumsum([float(t) for t in terms]))
-        if worst_val is None or val > worst_val:
-            s, a = key
-            worst = (asym.mdp.states[s], asym.mdp.actions[s][a])
-            worst_val = val
-    return worst
 
 
 @dataclass
@@ -169,39 +175,42 @@ class KappaActionEstimate:
     kappa: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KappaEstimate:
-    per_action: dict  # (s, a) -> KappaActionEstimate
+    """The closed-form horizon bound; `per_action` is built on first read."""
+
     bound: int
+    _adv: AdvantageTable = field(repr=False)
+    _estimates: dict = field(repr=False)  # row -> (kappa', kappa) where kappa' is set
+
+    @cached_property
+    def per_action(self):
+        return {
+            key: KappaActionEstimate(i, *self._estimates.get(r, (None, 0)))
+            for r, (key, i) in enumerate(self._adv.minimal_nonzero.items())
+        }
 
 
 def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT) -> KappaEstimate:
     """Closed-form per-action horizon bound and its maximum.
 
-    For a removed action with leading nonzero index i < n-1:
-    kappa' = sum_{p>i} max(0, delta0_p) / |delta0_i| and
-    kappa = ceil(log kappa' / log(lam_i / lam_{i+1})); retained actions
-    and i = n-1 contribute 0.
+    For a row with leading nonzero index i and some positive later entry:
+    kappa' = sum_{p>i} max(0, delta0_p) / |delta0_i| (summed left to right)
+    and kappa = ceil(log kappa' / log(lam_i / lam_{i+1})); every other row
+    (retained, all-zero, or no positive entry after i) contributes 0.
     """
-    n = asym.n_principals
-    lams = asym.discounts
-    per_action = {}
-    bound = 0
-    for key, row in adv.delta0.items():
-        imin = adv.minimal_nonzero[key]
-        if imin is None or imin == n - 1:
-            per_action[key] = KappaActionEstimate(imin, None, 0)
-            continue
-        lead = row[imin]
-        pos = [row[p] for p in range(imin + 1, n) if row[p] > 0]
-        if not pos:
-            per_action[key] = KappaActionEstimate(imin, None, 0)
-            continue
-        kp = sum(pos, Fraction(0) if mode.is_exact else 0.0) / abs(lead)
-        if kp <= 1:
-            k = 0
-        else:
-            base = lams[imin] / lams[imin + 1]
+    bases = [a / b for a, b in pairwise(asym.discounts)]  # lam_i / lam_{i+1}
+    # every nonzero row leads negative (certified), so its positive entries
+    # all lie after its leading index
+    total = np.maximum(adv.delta, 0).cumsum(axis=1)[:, -1]
+    rows = total.nonzero()[0]
+    lead = adv.lead[rows]
+    cols = zip(rows.tolist(), lead.tolist(), total[rows].tolist(), adv.delta[rows, lead].tolist())
+    estimates, bound = {}, 0
+    for r, i, t, d in cols:
+        kp, k = t / abs(d), 0
+        if kp > 1:
+            base = bases[i]
             k = max(0, math.ceil(math.log(float(kp)) / math.log(float(base))))
             if mode.is_exact:
                 # float log can be off by one at the boundary; fix exactly
@@ -209,9 +218,9 @@ def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT
                     k -= 1
                 while base**k < kp:
                     k += 1
-        per_action[key] = KappaActionEstimate(imin, kp, k)
+        estimates[r] = (kp, k)
         bound = max(bound, k)
-    return KappaEstimate(per_action=per_action, bound=bound)
+    return KappaEstimate(bound, adv, estimates)
 
 
 @dataclass
@@ -243,19 +252,15 @@ def _backward_induction(asym, adv, kappa, mode):
     a segment argmax per state: the segment maximum, then the least row
     index that attains it, so ties go to the lowest action index."""
     view = asym.float_view(mode)
-    delta = np.array([adv.delta0[key] for key in asym.rows()], dtype=view.dtype)
     lams = view.discounts
     starts = view.row_ptr[:-1]
     row_ids = np.arange(view.n_rows)
-    e = np.zeros(view.n_states, dtype=view.dtype)
+    e = np.full(view.n_states, Fraction(0) if mode.is_exact else 0.0, dtype=view.dtype)
     prefix = [None] * kappa
     with np.errstate(under="ignore"):
         for j in range(kappa - 1, -1, -1):
-            layer_r = delta @ (lams**j)
-            glue = np.add.reduceat(
-                view.succ_prob * e[view.succ_idx], view.succ_ptr[:-1]
-            )
-            vals = layer_r + glue
+            glue = np.add.reduceat(view.succ_prob * e[view.succ_idx], view.succ_ptr[:-1])
+            vals = adv.delta @ (lams**j) + glue
             e = np.maximum.reduceat(vals, starts)
             ties = np.where(vals == e[view.row_state], row_ids, view.n_rows)
             prefix[j] = (np.minimum.reduceat(ties, starts) - starts).tolist()
@@ -277,10 +282,7 @@ def optimize(
     adv = advantages(asym, lt, mode=mode)
     kappa = find_kappa(asym, adv, slack=slack, max_kappa=max_kappa, mode=mode)
     est = kappa_estimate(asym, adv, mode=mode)
-    if kappa == 0:
-        prefix, gain = [], _zero_gain(asym, mode)
-    else:
-        prefix, gain = _backward_induction(asym, adv, kappa, mode)
+    prefix, gain = _backward_induction(asym, adv, kappa, mode)
     cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=lt.tail)
     payoffs = eval_counting(asym, cs, mode)
     t2 = time.perf_counter()
@@ -310,11 +312,6 @@ def optimize(
             "total": t2 - t0,
         },
     )
-
-
-def _zero_gain(asym, mode):
-    zero = Fraction(0) if mode.is_exact else 0.0
-    return [zero] * asym.n_states
 
 
 def _check_decomposition(mode, sw, baseline, gain, state):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mdpwf import (
     RandomMdpConfig,
     advantages,
     badly_spaced,
+    builtin,
     enumerate_positional,
     eval_positional,
     find_kappa,
@@ -142,6 +144,82 @@ def test_kappa_estimate_bounds_adaptive():
         lt = long_term(asym, FLOAT)
         adv = advantages(asym, lt, FLOAT)
         assert kappa_estimate(asym, adv, FLOAT).bound >= find_kappa(asym, adv, mode=FLOAT)
+
+
+MODES = pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+
+# (model, principal, state, shift of that value, message per mode): the
+# first failing row in row order is named, whichever check it fails
+TAMPERED = [
+    # retained (s0, b) fails before the removed (s1, a), which also leads positive
+    ("appendix_ex2", 0, 3, 5, {
+        "exact": "retained action ('s0', 'b') has nonzero advantage for principal 0: 9/5",
+        "float": "retained action ('s0', 'b') has nonzero advantage for principal 0: "
+        "1.7999999999999972",
+    }),
+    # removed (s0, a) leads positive before the retained (s0, b) fails
+    ("investment", 0, 0, -3, {
+        "exact": "removed action ('s0', 'a') has positive leading advantage 1/3 for principal 0",
+        "float": "removed action ('s0', 'a') has positive leading advantage "
+        "0.3333333333333339 for principal 0",
+    }),
+    # principal 0's entry of (s0, a) becomes zero, so principal 1 leads
+    ("investment", 0, 0, -2, {
+        "exact": "removed action ('s0', 'a') has positive leading advantage 5/3 for principal 1",
+        "float": "removed action ('s0', 'a') has positive leading advantage "
+        "1.6666666666666672 for principal 1",
+    }),
+]
+
+
+@MODES
+@pytest.mark.parametrize("name,principal,state,shift,messages", TAMPERED)
+def test_certification_error_names_first_failing_row(mode, name, principal, state, shift, messages):
+    asym = builtin(name)
+    lt = long_term(asym, mode)
+    lt.values[principal].values[state] += shift
+    with pytest.raises(CertificationError) as err:
+        advantages(asym, lt, mode)
+    assert str(err.value) == messages[mode.kind]
+
+
+@MODES
+def test_horizon_cap_names_worst_pair(mode):
+    # at depth 1 four rows still have a positive rescaled prefix sum; the
+    # largest, about 4.94, belongs to (s3, b), the last of them in row order
+    asym = random_mdp(
+        RandomMdpConfig(num_states=4, actions_per_state=3, num_principals=3, seed=10)
+    )
+    lt = long_term(asym, mode)
+    adv = advantages(asym, lt, mode)
+    with pytest.raises(HorizonExceededError) as err:
+        find_kappa(asym, adv, max_kappa=1, mode=mode)
+    assert err.value.worst_pair == ("s3", "b")
+
+
+@MODES
+def test_advantage_views_hold_python_numbers(investment, mode):
+    # np.float64 subclasses float and 0 == Fraction(0), so compare types
+    number = Fraction if mode.is_exact else float
+    res = optimize(investment, mode=mode)
+    adv = res.advantage
+    assert all(type(d) is number for row in adv.delta0.values() for d in row)
+    assert all(type(i) is int for i in adv.minimal_nonzero.values() if i is not None)
+    entry = res.kappa_bound.per_action[(0, 0)]
+    assert type(entry.kappa_prime) is number
+    assert type(entry.kappa) is int and type(entry.minimal_index) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        adv.delta0 = {}
+    # with one principal kappa is 0 and the gain is the mode's zero
+    solo = AsymMdp(
+        mdp=investment.mdp,
+        principals=investment.principals[:1],
+        rewards=[[r[:1] for r in per_s] for per_s in investment.rewards],
+    )
+    res = optimize(solo, mode=mode)
+    assert res.kappa == 0
+    for rep in res.reports.values():
+        assert type(rep.deviation_gain) is number and rep.deviation_gain == 0
 
 
 def test_optimize_investment_exact(investment):
