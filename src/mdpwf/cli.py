@@ -378,6 +378,8 @@ def _grid(text):
     if len(parts) != 3:
         raise MdpwfError(f"grid spec {text!r} must be start:stop:step")
     lo, hi, step = (as_fraction(p) for p in parts)
+    if step <= 0:
+        raise MdpwfError(f"grid spec {text!r} needs a positive step")
     vals = []
     x = lo
     while x <= hi:

@@ -109,41 +109,37 @@ def _counting_values(view, cs, tail_vals):
     return u.T.tolist()
 
 
-def counting_value_from(
-    asym: AsymMdp,
-    cs: CountingStrategy,
-    start: int,
-    mode: NumericMode = FLOAT,
-    tail_vals: EvalResult | None = None,
-):
-    """Social welfare of a counting strategy from one start state, by
-    forward occupancy propagation (oracle fast path)."""
-    if tail_vals is None:
-        tail_vals = eval_positional(asym, cs.tail, mode)
-    n_p = asym.n_principals
-    exact = mode.is_exact
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    lams = [d if exact else float(d) for d in asym.discounts]
-    totals = [zero] * n_p
-    pows = [one] * n_p
-    dist = {start: one}
-    trans = asym.mdp.transitions
-    for j in range(cs.kappa):
-        row = cs.prefix[j]
-        nxt = {}
-        for s, mass in dist.items():
-            a = row[s]
-            for i in range(n_p):
-                r = asym.rewards[s][a][i]
-                totals[i] += pows[i] * mass * (r if exact else float(r))
-            for t, p in trans[s][a]:
-                w = mass * (p if exact else float(p))
-                nxt[t] = nxt.get(t, zero) + w
-        dist = nxt
-        for i in range(n_p):
-            pows[i] *= lams[i]
-    for i in range(n_p):
-        tv = tail_vals.per_principal[i]
-        totals[i] += pows[i] * sum(mass * tv[s] for s, mass in dist.items())
-    return totals, sum(totals)
+def counting_value_from(asym: AsymMdp, prefixes, tail_vals, start: int, mode: NumericMode = FLOAT):
+    """Payoffs from one start state of a block of prefix tables that share
+    one tail, by forward occupancy propagation (the counting oracle's scan,
+    kept apart from `eval_counting`'s backward recursion).
+
+    `prefixes` holds local action indices, block x kappa x n_states, and
+    `tail_vals` is the shared tail's `EvalResult`.  Returns the block x
+    n_principals payoffs and the block's social welfare.  Each step visits
+    only the states with mass, one column per table, and scatters their
+    played rows' successor entries into the next occupancy.
+    """
+    view = asym.float_view(mode)
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    block = len(prefixes)
+    dist = np.zeros((view.n_states, block), dtype=view.dtype)
+    dist[start] = 1
+    totals = np.zeros((block, view.n_principals), dtype=view.dtype)
+    pows = np.ones(view.n_principals, dtype=view.dtype)
+    src = view.row_state[view.succ_row]
+    for step in prefixes.transpose(1, 0, 2):
+        s, col = np.nonzero(dist)
+        rows = step[col, s] + view.row_ptr[s]
+        np.add.at(totals, col, pows * dist[s, col, None] * view.rewards[rows])
+        played = np.zeros((block, view.n_rows), dtype=bool)
+        played[col, rows] = True
+        col, e = np.nonzero(played[:, view.succ_row])
+        mass = dist[src[e], col] * view.succ_prob[e]
+        dist = np.zeros_like(dist)
+        np.add.at(dist, (view.succ_idx[e], col), mass)
+        pows = pows * view.discounts
+    s, col = np.nonzero(dist)
+    tail = np.array(tail_vals.per_principal, dtype=view.dtype).T
+    np.add.at(totals, col, pows * dist[s, col, None] * tail[s])
+    return totals, totals.sum(axis=1)

@@ -383,6 +383,11 @@ def _parse_number(value, where):
         raise FormatError(f"bad number {value!r}: {e}", location=where) from None
 
 
+def _check_name(value, field, where):
+    if not isinstance(value, str):
+        raise FormatError(f"{field} must be a string, not {value!r}", location=where)
+
+
 def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
     """Parse the JSON model format; validation failures raise LoadError."""
     try:
@@ -398,12 +403,15 @@ def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
             raise FormatError(f"missing field {fld!r}", location="top level")
         if not isinstance(raw[fld], list):
             raise FormatError(f"field {fld!r} must be a list", location="top level")
+    for k, name in enumerate(raw["states"]):
+        _check_name(name, "state name", f"states[{k}]")
     principals = []
     for k, p in enumerate(raw["principals"]):
         where = f"principals[{k}]"
         _check_fields(p, _PRINCIPAL_FIELDS, where)
         if "name" not in p or "discount" not in p:
             raise FormatError("principal needs name and discount", location=where)
+        _check_name(p["name"], "name", where)
         principals.append((p["name"], _parse_number(p["discount"], where)))
     actions = []
     for k, rec in enumerate(raw["actions"]):
@@ -412,6 +420,8 @@ def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
         for fld in ("state", "action", "transitions"):
             if fld not in rec:
                 raise FormatError(f"missing field {fld!r}", location=where)
+        for fld in ("state", "action"):
+            _check_name(rec[fld], fld, where)
         reward = rec.get("reward")
         if reward is not None:
             if not isinstance(reward, list):
@@ -425,6 +435,7 @@ def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
             _check_fields(tr, _TRANSITION_FIELDS, twhere)
             if "to" not in tr or "prob" not in tr:
                 raise FormatError("transition needs to and prob", location=twhere)
+            _check_name(tr["to"], "to", twhere)
             transitions.append((tr["to"], _parse_number(tr["prob"], twhere)))
         actions.append((rec["state"], rec["action"], transitions, reward))
     asym = AsymMdp.build(

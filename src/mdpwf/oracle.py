@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
@@ -16,6 +17,7 @@ from .numeric import EXACT, FLOAT, NumericMode
 from .strategies import CountingStrategy
 
 DEFAULT_CAP = 10**6
+BLOCK = 1024  # strategies scored per array pass
 
 
 def _full_graph_topo(asym):
@@ -28,54 +30,62 @@ def _full_graph_topo(asym):
     return policy_topo_order(union, [0] * asym.n_states)
 
 
-class _FastPositional:
-    """Float evaluator amortized over many positional strategies."""
-
-    def __init__(self, asym: AsymMdp):
-        self.asym = asym
-        self.order = _full_graph_topo(asym)
-        self.n_principals = asym.n_principals
-        self.lams = [float(d) for d in asym.discounts]
-        # per state, per action: (rewards tuple, [(t, p)...], self prob)
-        self.rows = []
-        for s in range(asym.n_states):
-            per_action = []
-            for a in range(len(asym.mdp.actions[s])):
-                items = []
-                self_p = 0.0
-                for t, p in asym.mdp.transitions[s][a]:
-                    if t == s:
-                        self_p += float(p)
-                    else:
-                        items.append((t, float(p)))
-                rewards = tuple(float(r) for r in asym.rewards[s][a])
-                per_action.append((rewards, items, self_p))
-            self.rows.append(per_action)
-
-    def social_at(self, sigma, start):
-        if self.order is None:
-            res = eval_positional(self.asym, list(sigma), FLOAT)
-            return float(res.social_welfare[start])
-        total = 0.0
-        n = self.asym.n_states
-        for i in range(self.n_principals):
-            lam = self.lams[i]
-            v = [0.0] * n
-            for s in self.order:
-                rewards, items, self_p = self.rows[s][sigma[s]]
-                acc = rewards[i]
-                for t, p in items:
-                    acc += lam * p * v[t]
-                v[s] = acc / (1.0 - lam * self_p)
-            total += v[start]
-        return total
+def _blocks(counts, cap=math.inf):
+    """The product space over `counts` in `itertools.product` order (last
+    digit fastest), BLOCK ranks at a time, as block x len(counts) arrays."""
+    size = math.prod(counts)
+    if size > cap:
+        raise CapExceededError(size, cap)
+    for lo in range(0, size, BLOCK):
+        rank = np.arange(lo, min(lo + BLOCK, size))
+        digits = np.empty((len(rank), len(counts)), dtype=np.int64)
+        for k in reversed(range(len(counts))):
+            rank, digits[:, k] = np.divmod(rank, counts[k])
+        yield digits
 
 
-def _social_exact(asym, sigma, start, order):
-    total = Fraction(0)
-    for i in range(asym.n_principals):
-        total += policy_values_exact(asym, list(sigma), i, order=order)[start]
-    return total
+def _row_plans(view):
+    """Per row of the view, as principal columns: its rewards, its successors
+    other than itself with lam * p, and 1 - lam * (self-loop probability)."""
+    lams = view.discounts[:, None]
+    plans = []
+    for row, s in enumerate(view.row_state):
+        lo, hi = view.succ_ptr[row], view.succ_ptr[row + 1]
+        succ = list(zip(view.succ_idx[lo:hi].tolist(), view.succ_prob[lo:hi]))
+        self_p = sum(p for t, p in succ if t == s)
+        others = [(t, p * lams) for t, p in succ if t != s]
+        plans.append((view.rewards[row][:, None], others, 1 - self_p * lams))
+    return plans
+
+
+def _scored_blocks(asym, start, mode, order, cap):
+    """(strategies, social welfare from `start`) per block of the positional
+    space, in rank order.  With an acyclic union graph the block is
+    back-substituted along `order`, all principals and one column per
+    strategy at once, in the scalar pass's operation order; otherwise each
+    strategy goes to `eval_positional` as a block of its own, so scans can
+    stop at the first witness."""
+    view = asym.float_view(mode)
+    plans = _row_plans(view)
+    for sig in _blocks([len(acts) for acts in asym.mdp.actions], cap):
+        if order is None:
+            for sigma in sig.tolist():
+                sw = eval_positional(asym, sigma, mode).social_welfare[start]
+                yield np.array([sigma]), np.array([sw], dtype=view.dtype)
+            continue
+        shape = (view.n_principals, len(sig))
+        v = np.zeros((asym.n_states, *shape), dtype=view.dtype)
+        vals = np.zeros((max(map(len, asym.mdp.actions)), *shape), dtype=view.dtype)
+        # flat index into vals of each state's played action, per principal and column
+        pick = sig.T[:, None, :] * math.prod(shape) + np.arange(math.prod(shape)).reshape(shape)
+        for s in order:
+            for a, (reward, others, den) in enumerate(plans[view.row_ptr[s]:view.row_ptr[s + 1]]):
+                acc = reward
+                for t, lam_p in others:
+                    acc = acc + lam_p * v[t]
+                vals[a] = acc / den
+            v[s] = vals.take(pick[s])
+        yield sig, sum(v[start])
 
 
 @dataclass
@@ -85,14 +95,6 @@ class PositionalSearch:
     table: list | None = None
 
 
-def _positional_space(asym, cap):
-    counts = [len(asym.mdp.actions[s]) for s in range(asym.n_states)]
-    size = math.prod(counts)
-    if size > cap:
-        raise CapExceededError(size, cap)
-    return itertools.product(*(range(k) for k in counts))
-
-
 def enumerate_positional(
     asym: AsymMdp,
     start: int,
@@ -100,22 +102,19 @@ def enumerate_positional(
     cap: int = DEFAULT_CAP,
     return_table: bool = False,
 ) -> PositionalSearch:
-    """Evaluate every pure positional strategy; ties resolve to the
-    lexicographically first strategy."""
-    fast = _FastPositional(asym)
-    order = _full_graph_topo(asym)
+    """Evaluate every pure positional strategy, a block per array pass over
+    the model's row view; ties resolve to the lexicographically first
+    strategy."""
     best_sw = None
     best = None
     table = [] if return_table else None
-    for sigma in _positional_space(asym, cap):
-        if mode.is_exact:
-            sw = _social_exact(asym, sigma, start, order)
-        else:
-            sw = fast.social_at(sigma, start)
+    for sig, sw in _scored_blocks(asym, start, mode, _full_graph_topo(asym), cap):
+        sw = sw.tolist()
         if table is not None:
-            table.append((list(sigma), sw))
-        if best_sw is None or sw > best_sw:
-            best_sw, best = sw, list(sigma)
+            table.extend(zip(sig.tolist(), sw))
+        k = int(np.argmax(sw))
+        if best_sw is None or sw[k] > best_sw:
+            best_sw, best = sw[k], sig[k].tolist()
     return PositionalSearch(best_social_welfare=best_sw, best_strategy=best, table=table)
 
 
@@ -135,24 +134,26 @@ def threshold_decide_positional(
 ) -> ThresholdDecision:
     """Does some pure positional strategy reach social welfare >= threshold?
 
-    Scans the strategy space with a float prescreen and, in exact mode,
-    confirms candidate witnesses with rational arithmetic, so boundary
-    equality is decided exactly.
+    Scans the strategy space in rank order with a float prescreen that
+    passes welfare down to 1e-9 * max(1, |threshold|) below the threshold.
+    Exact mode confirms candidates in rational arithmetic, in rank order, so
+    the witness is the first strategy reaching the threshold exactly; float
+    mode returns the first candidate, which may fall short by that margin.
     """
-    fast = _FastPositional(asym)
     order = _full_graph_topo(asym)
     thr_f = float(threshold)
     margin = 1e-9 * max(1.0, abs(thr_f))
-    for sigma in _positional_space(asym, cap):
-        sw = fast.social_at(sigma, start)
-        if sw < thr_f - margin:
-            continue
-        if mode.is_exact:
-            exact_sw = _social_exact(asym, sigma, start, order)
+    for sig, sw in _scored_blocks(asym, start, FLOAT, order, cap):
+        for k in np.flatnonzero(~(sw < thr_f - margin)):
+            sigma = sig[k].tolist()
+            if not mode.is_exact:
+                return ThresholdDecision(True, sigma, float(sw[k]))
+            exact_sw = sum(
+                policy_values_exact(asym, sigma, i, order=order)[start]
+                for i in range(asym.n_principals)
+            )
             if exact_sw >= threshold:
-                return ThresholdDecision(True, list(sigma), exact_sw)
-        else:
-            return ThresholdDecision(True, list(sigma), sw)
+                return ThresholdDecision(True, sigma, exact_sw)
     return ThresholdDecision(False, None, None)
 
 
@@ -163,26 +164,18 @@ class CountingSearch:
 
 
 def _reachable_layers(asym, start, horizon):
-    layers = []
-    current = {start}
+    """The states reachable from `start` in exactly j steps, for each
+    j < horizon, and those reachable in any number of steps."""
+    succ = [{t for pairs in per_action for t, _ in pairs} for per_action in asym.mdp.transitions]
+    layers, current = [], {start}
     for _ in range(horizon):
         layers.append(sorted(current))
-        nxt = set()
-        for s in current:
-            for a in range(len(asym.mdp.actions[s])):
-                nxt.update(t for t, _ in asym.mdp.transitions[s][a])
-        current = nxt
-    closure = set()
-    frontier = {start}
+        current = set().union(*(succ[s] for s in current))
+    closure, frontier = {start}, [start]
     while frontier:
-        s = frontier.pop()
-        if s in closure:
-            continue
-        closure.add(s)
-        for a in range(len(asym.mdp.actions[s])):
-            frontier.update(
-                t for t, _ in asym.mdp.transitions[s][a] if t not in closure
-            )
+        new = succ[frontier.pop()] - closure
+        closure |= new
+        frontier.extend(new)
     return layers, sorted(closure)
 
 
@@ -191,15 +184,9 @@ def canonical_trim(asym: AsymMdp, cs: CountingStrategy, start: int) -> CountingS
     then drop trailing prefix rows that equal the tail."""
     support = {start}
     prefix = []
-    for j in range(cs.kappa):
-        row = []
-        for s in range(asym.n_states):
-            row.append(cs.prefix[j][s] if s in support else cs.tail[s])
-        prefix.append(row)
-        nxt = set()
-        for s in support:
-            nxt.update(t for t, _ in asym.mdp.transitions[s][cs.prefix[j][s]])
-        support = nxt
+    for row in cs.prefix[:cs.kappa]:
+        prefix.append([row[s] if s in support else cs.tail[s] for s in range(asym.n_states)])
+        support = {t for s in support for t, _ in asym.mdp.transitions[s][row[s]]}
     while prefix and prefix[-1] == cs.tail:
         prefix.pop()
     return CountingStrategy(kappa=len(prefix), prefix=prefix, tail=list(cs.tail))
@@ -222,22 +209,21 @@ def enumerate_counting(
     size = math.prod(counts) * math.prod(tail_counts)
     if size > cap:
         raise CapExceededError(size, cap)
+    steps, states = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     best_sw = None
     best = None
-    base_tail = [0] * asym.n_states
     for tail_choice in itertools.product(*(range(k) for k in tail_counts)):
-        tail = list(base_tail)
-        for s, a in zip(closure, tail_choice):
-            tail[s] = a
-        tail_vals = eval_positional(asym, tail, mode)
-        for prefix_choice in itertools.product(*(range(k) for k in counts)):
-            prefix = [list(tail) for _ in range(horizon)]
-            for (j, s), a in zip(cells, prefix_choice):
-                prefix[j][s] = a
-            cs = CountingStrategy(kappa=horizon, prefix=prefix, tail=tail)
-            _, sw = counting_value_from(asym, cs, start, mode, tail_vals=tail_vals)
-            if best_sw is None or sw > best_sw:
-                best_sw, best = sw, cs
+        tail = np.zeros(asym.n_states, dtype=np.int64)
+        tail[closure] = tail_choice
+        tail_vals = eval_positional(asym, tail.tolist(), mode)
+        for digits in _blocks(counts):
+            prefixes = np.tile(tail, (len(digits), horizon, 1))
+            prefixes[:, steps, states] = digits
+            _, sw = counting_value_from(asym, prefixes, tail_vals, start, mode)
+            k = int(np.argmax(sw))
+            if best_sw is None or sw[k] > best_sw:
+                best_sw = sw.tolist()[k]
+                best = CountingStrategy(horizon, prefixes[k].tolist(), tail.tolist())
     return CountingSearch(
         best_social_welfare=best_sw,
         best_strategy=canonical_trim(asym, best, start),

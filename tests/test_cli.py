@@ -203,6 +203,25 @@ def test_sweep_cli(tmp_path, capsys):
     assert header.startswith("alpha,beta,status")
 
 
+@pytest.mark.parametrize("step", ["0", "-1/10"])
+def test_sweep_rejects_non_positive_step(tmp_path, capsys, step):
+    path = _write_investment(tmp_path)
+    out = str(tmp_path / "sweep.csv")
+    rc = main(["sweep", path, "--alpha", f"0.5:0.6:{step}", "--beta", "0.1:0.5:0.2", "--csv", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_string_state_name_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    doc = json.loads(dumps(loads(open(_write_investment(tmp_path)).read())))
+    doc["actions"][0]["state"] = ["s0"]
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "actions[0]" in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["badflag"])

@@ -214,10 +214,25 @@ def test_forward_propagation_matches_backward():
         )
         res = eval_counting(asym, cs, FLOAT)
         for start in range(4):
-            payoffs, sw = counting_value_from(asym, cs, start, FLOAT)
+            tail = eval_positional(asym, cs.tail, FLOAT)
+            [payoffs], [sw] = counting_value_from(asym, [cs.prefix], tail, start, FLOAT)
             assert abs(sw - res.social_welfare[start]) < 1e-10
             for i in range(2):
                 assert abs(payoffs[i] - res.per_principal[i][start]) < 1e-10
+
+
+def test_forward_block_columns_match_single_columns():
+    # a block of tables sharing one tail scores each table as it would alone
+    asym = random_mdp(RandomMdpConfig(num_states=5, actions_per_state=3, seed=3))
+    rng = np.random.default_rng(0)
+    prefixes = rng.integers(0, 3, size=(7, 4, 5))
+    for mode in (FLOAT, EXACT):
+        tail = eval_positional(asym, [2, 0, 1, 1, 0], mode)
+        payoffs, sw = counting_value_from(asym, prefixes, tail, 0, mode)
+        for k, prefix in enumerate(prefixes):
+            [one_payoffs], [one_sw] = counting_value_from(asym, [prefix], tail, 0, mode)
+            assert sw[k] == one_sw and type(sw[k]) is type(one_sw)
+            assert payoffs[k].tolist() == one_payoffs.tolist()
 
 
 def _assert_float_matches_exact(asym, cs):

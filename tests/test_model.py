@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,35 @@ def test_malformed_structures_named():
             '{"states": ["s"], "principals": [{"name": "A", "discount": "1/2"}],'
             ' "actions": [{"state": "s", "action": "a", "transitions": 3}]}'
         )
+
+
+_NAMED_DOC = {
+    "states": ["s0"],
+    "principals": [{"name": "A", "discount": "1/2"}],
+    "actions": [{"state": "s0", "action": "a", "transitions": [{"to": "s0", "prob": 1}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (("actions", 0, "state"), ["s0"], "actions[0]"),
+        (("actions", 0, "action"), {"a": 1}, "actions[0]"),
+        (("states", 0), ["s0"], "states[0]"),
+        (("actions", 0, "transitions", 0, "to"), {"x": 1}, "actions[0].transitions[0]"),
+        (("principals", 0, "name"), ["A"], "principals[0]"),
+        (("principals", 0, "name"), 7, "principals[0]"),
+    ],
+)
+def test_non_string_names_named(path, value, location):
+    doc = json.loads(json.dumps(_NAMED_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(FormatError, match="must be a string") as err:
+        loads(json.dumps(doc))
+    assert location in str(err.value)
 
 
 def test_load_rejects_invalid_model():

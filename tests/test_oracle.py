@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,13 @@ from mdpwf import (
     enumerate_positional,
     eval_counting,
     eval_positional,
+    RandomMdpConfig,
     optimize,
+    random_mdp,
     sat_reduction,
     threshold_decide_positional,
 )
+from mdpwf.oracle import BLOCK, _full_graph_topo
 
 
 def test_enumerate_positional_investment(investment):
@@ -150,3 +154,89 @@ def test_exhaustive_search_tops_out_at_threshold():
     assert abs(float(best.best_social_welfare) - float(threshold)) < 1e-12
     sw = eval_positional(asym, best.best_strategy, EXACT).social_welfare[0]
     assert sw == threshold
+
+
+# -- block boundaries of the scans ----------------------------------------------
+
+
+def _strategies(asym):
+    return [list(s) for s in itertools.product(*(range(len(a)) for a in asym.mdp.actions))]
+
+
+def test_threshold_witness_past_first_block():
+    phi = CnfFormula(3, [(1, -1, 2), (1, 2, 3), (1, -2, 3)])
+    asym, threshold, _ = sat_reduction(phi)
+    space = _strategies(asym)
+    assert len(space) == 13824  # 13.5 blocks
+    # reference: the first strategy in rank order whose exact welfare reaches
+    # the threshold, screened in float with a margin far wider than rounding
+    rank = next(
+        k for k, sigma in enumerate(space)
+        if eval_positional(asym, sigma, FLOAT).social_welfare[0] >= float(threshold) - 1e-6
+        and eval_positional(asym, sigma, EXACT).social_welfare[0] >= threshold
+    )
+    assert rank == 2844 and rank >= BLOCK
+    dec = threshold_decide_positional(asym, 0, threshold, mode=EXACT)
+    assert dec.satisfied and dec.witness == space[rank]
+    witness_sw = eval_positional(asym, space[rank], EXACT).social_welfare[0]
+    assert dec.witness_social_welfare == witness_sw
+
+
+def test_unsatisfiable_scan_covers_every_block():
+    phi = CnfFormula(3, [(1, 2, 3), (-1, -1, -1), (-2, -2, -2), (-3, -3, -3)])
+    asym, threshold, _ = sat_reduction(phi)
+    space = _strategies(asym)
+    assert len(space) % BLOCK and len(space) > BLOCK  # the last block is partial
+    assert not threshold_decide_positional(asym, 0, threshold, mode=EXACT).satisfied
+    res = enumerate_positional(asym, 0, mode=FLOAT, return_table=True)
+    assert [sigma for sigma, _ in res.table] == space
+    want = [eval_positional(asym, sigma, FLOAT).social_welfare[0] for sigma in space]
+    assert [sw for _, sw in res.table] == pytest.approx(want, rel=1e-12)
+    assert max(want) < float(threshold)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+def test_enumerate_positional_matches_reference_scan(investment, mode, cyclic):
+    asym = random_mdp(RandomMdpConfig(num_states=4, seed=1)) if cyclic else investment
+    assert (_full_graph_topo(asym) is None) == cyclic
+    res = enumerate_positional(asym, 0, mode=mode, return_table=True)
+    space = _strategies(asym)
+    want = [eval_positional(asym, sigma, mode).social_welfare[0] for sigma in space]
+    assert [sigma for sigma, _ in res.table] == space
+    assert all(type(a) is int for sigma, _ in res.table for a in sigma)
+    assert all(type(sw) is (Fraction if mode.is_exact else float) for _, sw in res.table)
+    assert [sw for _, sw in res.table] == pytest.approx(want, rel=1e-12)
+    assert res.best_strategy == space[want.index(max(want))]
+
+
+def test_counting_scan_crosses_prefix_blocks():
+    asym = AsymMdp.build(
+        states=["s0", "s1", "s2"],
+        principals=[("A", Fraction(9, 10)), ("B", Fraction(1, 2))],
+        actions=[
+            ("s0", "a", [("s1", Fraction(1, 2)), ("s2", Fraction(1, 2))], [3, -1]),
+            ("s0", "b", [("s0", Fraction(1, 3)), ("s1", Fraction(2, 3))], [1, 2]),
+            ("s1", "a", [("s0", 1)], [0, 5]),
+            ("s1", "b", [("s2", Fraction(3, 4)), ("s1", Fraction(1, 4))], [2, 0]),
+            ("s2", "a", [("s0", Fraction(1, 5)), ("s2", Fraction(4, 5))], [-1, 7]),
+        ],
+    )
+    horizon = 6
+    # cell (0, s0), then (j, s0) and (j, s1) for j = 1..5: 2 * 4**5 = 2048
+    # prefix tables per tail, two blocks each
+    cells = [(0, 0)] + [(j, s) for j in range(1, horizon) for s in (0, 1)]
+    assert 2 ** len(cells) == 2 * BLOCK
+    best_sw, best = None, None
+    for tail in itertools.product((0, 1), (0, 1), (0,)):
+        for choice in itertools.product((0, 1), repeat=len(cells)):
+            prefix = [list(tail) for _ in range(horizon)]
+            for (j, s), a in zip(cells, choice):
+                prefix[j][s] = a
+            cs = CountingStrategy(horizon, prefix, list(tail))
+            sw = eval_counting(asym, cs, FLOAT).social_welfare[0]
+            if best_sw is None or sw > best_sw:
+                best_sw, best = sw, cs
+    cnt = enumerate_counting(asym, 0, horizon, mode=FLOAT)
+    assert cnt.best_social_welfare == pytest.approx(best_sw, rel=1e-12)
+    assert cnt.best_strategy == canonical_trim(asym, best, 0)
