@@ -80,12 +80,11 @@ def eval_stationary_mixed(
 def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:
     """Payoffs of a counting strategy, for every start state.
 
-    Computed by backward recursion over the prefix steps on top of the
-    tail's positional values; equals the forward expectation
-    sum_j lam^j E[R] plus the lam^kappa-weighted tail value.  Both modes
-    hold all principals at once in an n_states x n_principals array over
-    the mode's row view: each step is one segment sum of successor values
-    over every row, then a gather of the rows that step plays.
+    Computed by backward recursion over the prefix on top of the tail's
+    positional values; equals the forward expectation sum_j lam^j E[R] plus
+    the lam^kappa-weighted tail value.  Both modes hold all principals at
+    once in an n_states x n_principals array over the mode's row view, and
+    the prefix is taken as runs of equal rows (see `_counting_values`).
     """
     cs.check(asym)
     tail_vals = eval_positional(asym, cs.tail, mode)
@@ -94,19 +93,55 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
 
 def _counting_values(view, cs, tail_vals):
     """Per-principal value lists of a checked counting strategy, given its
-    tail's values."""
+    tail's values.
+
+    The prefix is taken as runs of equal rows.  A run of L rows playing rows
+    sigma applies the affine map u -> r_sigma + lam * P_sigma u L times.
+    When repeated squaring of each principal's (n+1) x (n+1) augmented
+    matrix takes fewer multiplications than L sparse steps, the run is one
+    matrix power; otherwise each step is one segment sum of successor
+    values over every row, then a gather of the played rows."""
     n = view.n_states
-    rows = np.fromiter(
-        itertools.chain.from_iterable(cs.prefix), dtype=np.intp, count=cs.kappa * n
-    ).reshape(cs.kappa, n)
-    rows += view.row_ptr[:-1]
     u = np.array(tail_vals.per_principal, dtype=view.dtype).T
     prob = view.succ_prob[:, None]
     starts = view.succ_ptr[:-1]
-    for played in rows[::-1]:
-        g = np.add.reduceat(prob * u[view.succ_idx], starts)
-        u = view.rewards[played] + view.discounts * g[played]
+    runs = [(row, len(list(same))) for row, same in itertools.groupby(cs.prefix)]
+    for row, length in reversed(runs):
+        played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
+        # a sparse step takes at least 2n multiplications, repeated squaring
+        # at most 2 bit_length(length) products of (n+1) x (n+1) matrices
+        if length.bit_length() * (n + 1) ** 3 < n * length:
+            u = _affine_power(view, played, length, u)
+            continue
+        for _ in range(length):
+            g = np.add.reduceat(prob * u[view.succ_idx], starts)
+            u = view.rewards[played] + view.discounts * g[played]
     return u.T.tolist()
+
+
+def _affine_power(view, played, length, u):
+    """u after `length` steps of u -> r + lam * P u over the played rows, by
+    repeated squaring of each principal's augmented matrix [[lam P, r], [0, 1]]."""
+    n = view.n_states
+    take = np.zeros(view.n_rows, dtype=bool)
+    take[played] = True
+    entry = take[view.succ_row]
+    p = np.zeros((n, n), dtype=view.dtype)
+    src = view.row_state[view.succ_row[entry]]
+    np.add.at(p, (src, view.succ_idx[entry]), view.succ_prob[entry])  # sums repeated successors
+    base = np.zeros((view.n_principals, n + 1, n + 1), dtype=view.dtype)
+    base[:, :n, :n] = view.discounts[:, None, None] * p
+    base[:, :n, n] = view.rewards[played].T
+    base[:, n, n] = 1
+    power = None
+    while True:
+        if length & 1:
+            power = base if power is None else power @ base
+        length >>= 1
+        if not length:
+            break
+        base = base @ base
+    return ((power[:, :n, :n] @ u.T[:, :, None])[:, :, 0] + power[:, :n, n]).T
 
 
 def counting_value_from(asym: AsymMdp, prefixes, tail_vals, start: int, mode: NumericMode = FLOAT):

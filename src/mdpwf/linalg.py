@@ -88,7 +88,7 @@ def policy_values_exact(asym, sigma, principal, order=None):
             self_p = Fraction(0)
             for t, p in trans[s][sigma[s]]:
                 if t == s:
-                    self_p = p
+                    self_p += p
                 else:
                     acc += lam * p * v[t]
             v[s] = acc / (1 - lam * self_p)

@@ -100,8 +100,11 @@ class CountingStrategy:
         if self.kappa != len(self.prefix):
             raise DisabledActionError("prefix depth does not match kappa")
         check_positional(asym, self.tail)
+        checked = None
         for row in self.prefix:
-            check_positional(asym, row)
+            if row != checked:  # a row equal to the one before is valid too
+                check_positional(asym, row)
+                checked = row
 
 
 # -- strategy files -------------------------------------------------------

@@ -42,3 +42,19 @@ def twins():
             ("s1", "b", [("s1", 1)], [6, 5, 4]),
         ],
     )
+
+
+@pytest.fixture
+def doubled_self_loop():
+    """s0 -a-> {s0: 1/4, s0: 1/4, s1: 1/2} with reward 1 and lam 1/2, s1
+    absorbing with reward 0: v(s0) = 1 + v(s0) / 4 = 4/3 under a, and 1
+    under c."""
+    return AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2))],
+        actions=[
+            ("s0", "a", [("s0", Fraction(1, 4)), ("s0", Fraction(1, 4)), ("s1", Fraction(1, 2))], 1),
+            ("s0", "c", [("s1", 1)], 1),
+            ("s1", "b", [("s1", 1)], 0),
+        ],
+    )

@@ -14,6 +14,7 @@ from mdpwf import (
     MixedStationaryStrategy,
     RandomMdpConfig,
     badly_spaced,
+    builtin,
     eval_counting,
     eval_positional,
     eval_stationary_mixed,
@@ -97,6 +98,8 @@ def test_mixed_invalid_distribution(investment):
         (2, [[0, 0], [-1, 7]], "state 's0' has no action index -1"),
         (2, [[0, 0], [0]], "strategy length does not match state count"),
         (3, [[0, 0]], "prefix depth does not match kappa"),
+        # the invalid row follows a run of equal valid rows
+        (4, [[0, 0], [0, 0], [0, 0], [0, 3]], "state 's1' has no action index 3"),
     ],
 )
 @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
@@ -104,6 +107,14 @@ def test_counting_rejects_first_invalid_entry(investment, kappa, prefix, message
     cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=[1, 0])
     with pytest.raises(DisabledActionError, match=message):
         eval_counting(investment, cs, mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_positional_sums_repeated_self_loops(doubled_self_loop, mode):
+    res = eval_positional(doubled_self_loop, [0, 0], mode)
+    assert res.per_principal[0][0] == pytest.approx(Fraction(4, 3), rel=1e-15, abs=0)
+    if mode.is_exact:
+        assert res.per_principal[0][0] == Fraction(4, 3)
 
 
 def test_counting_two_step_wait(investment):
@@ -275,3 +286,62 @@ def test_float_counting_matches_exact_property(data):
     _assert_float_matches_exact(
         asym, CountingStrategy(kappa=len(prefix), prefix=prefix, tail=tail)
     )
+
+
+def _stepwise_counting(asym, cs, mode):
+    """Reference for `eval_counting`: one Bellman step per prefix row, in
+    plain Python over the model's transitions, on top of the tail's values."""
+    num = (lambda x: x) if mode.is_exact else float
+    u = [list(v) for v in eval_positional(asym, cs.tail, mode).per_principal]
+    for row in reversed(cs.prefix):
+        u = [
+            [
+                num(asym.rewards[s][a][i])
+                + num(lam) * sum(num(p) * u[i][t] for t, p in asym.mdp.transitions[s][a])
+                for s, a in enumerate(row)
+            ]
+            for i, lam in enumerate(asym.discounts)
+        ]
+    return u
+
+
+# (model, runs of (length, row)): runs of length 1 between runs long enough
+# that `eval_counting` takes them by repeated squaring
+RUN_CASES = [
+    ("investment", [(1, [0, 0]), (300, [1, 0]), (1, [0, 0]), (1, [1, 0]), (257, [0, 0])]),
+    ("badly_spaced-10", [(600, [0, 1, 0]), (1, [0, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 0])]),
+    ("appendix_ex2", [(1, [1, 1, 0, 0]), (400, [0, 0, 0, 0]), (1, [1, 0, 0, 0]), (500, [1, 1, 0, 0])]),
+    ("three-principal", [(1, [1, 0, 0]), (400, [0, 1, 0]), (1, [1, 1, 0]), (700, [0, 0, 0])]),
+    ("three-principal", []),
+]
+RUN_MODELS = {
+    "investment": lambda: builtin("investment"),
+    "badly_spaced-10": lambda: badly_spaced(10),
+    "appendix_ex2": lambda: builtin("appendix_ex2"),
+    "three-principal": lambda: AsymMdp.build(
+        states=["s0", "s1", "s2"],
+        principals=[("A", Fraction(9, 10)), ("B", Fraction(1, 2)), ("C", Fraction(1, 5))],
+        actions=[
+            ("s0", "a", [("s0", Fraction(1, 2)), ("s1", Fraction(1, 2))], [1, 0, 2]),
+            ("s0", "b", [("s2", 1)], [0, 3, -1]),
+            ("s1", "a", [("s0", Fraction(1, 3)), ("s2", Fraction(2, 3))], [2, 1, 0]),
+            ("s1", "b", [("s1", 1)], [-1, 2, 1]),
+            ("s2", "a", [("s2", 1)], [0, 0, 1]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("name,runs", RUN_CASES)
+def test_counting_by_runs_matches_stepwise(name, runs, mode):
+    asym = RUN_MODELS[name]()
+    prefix = [list(row) for length, row in runs for _ in range(length)]
+    cs = CountingStrategy(kappa=len(prefix), prefix=prefix, tail=[0] * asym.n_states)
+    got = eval_counting(asym, cs, mode).per_principal
+    want = _stepwise_counting(asym, cs, mode)
+    if mode.is_exact:
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0)

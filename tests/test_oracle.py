@@ -240,3 +240,13 @@ def test_counting_scan_crosses_prefix_blocks():
     cnt = enumerate_counting(asym, 0, horizon, mode=FLOAT)
     assert cnt.best_social_welfare == pytest.approx(best_sw, rel=1e-12)
     assert cnt.best_strategy == canonical_trim(asym, best, 0)
+
+
+def test_exact_oracles_agree_on_repeated_self_loops(doubled_self_loop):
+    # the exact confirmation must sum both self-loop entries of s0's action
+    # a, as the block scan does (value 4/3, not 8/7)
+    asym = doubled_self_loop
+    best = enumerate_positional(asym, 0, mode=EXACT)
+    assert (best.best_social_welfare, best.best_strategy) == (Fraction(4, 3), [0, 0])
+    dec = threshold_decide_positional(asym, 0, Fraction(4, 3), mode=EXACT)
+    assert (dec.satisfied, dec.witness, dec.witness_social_welfare) == (True, [0, 0], Fraction(4, 3))

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,65 @@ def test_find_kappa_horizon_cap():
     adv = advantages(b10, lt, FLOAT)
     with pytest.raises(HorizonExceededError):
         find_kappa(b10, adv, max_kappa=10, mode=FLOAT)
+
+
+def _linear_kappa(asym, adv, mode):
+    """Reference for `find_kappa`: the forward scan over every depth, with
+    the rescaled rows updated as u <- u * rho one depth at a time.  Float
+    mode runs one multiply-accumulate over a block of at most 4,096 depths
+    and 2**18 numbers, in the same order of multiplications; exact mode, whose
+    numbers grow with the depth, goes one depth per pass."""
+    slack = mode.default_slack if mode.is_exact else float(mode.default_slack)
+    rows = np.flatnonzero(adv.lead >= 0)
+    lams = asym.discounts
+    u = adv.delta[rows]
+    block = 1 if mode.is_exact else min(4096, max(1, 2**18 // max(1, u.size)))
+    ratios = np.array(
+        [[lam / lams[i] for lam in lams] for i in adv.lead[rows].tolist()], dtype=mode.dtype
+    ).reshape(u.shape)
+    seq = np.empty((block, *u.shape), dtype=mode.dtype)
+    seq[1:] = ratios
+    depth = 0
+    while True:
+        seq[0] = u
+        path = np.multiply.accumulate(seq, axis=0)  # depths depth .. depth + block - 1
+        ok = (path.cumsum(axis=2) <= slack).all(axis=(1, 2))
+        if ok.any():
+            return depth + int(ok.argmax())
+        u = path[-1] * ratios
+        depth += block
+
+
+def _assert_kappa_matches_linear_scan(asym, mode):
+    adv = advantages(asym, long_term(asym, mode), mode)
+    assert find_kappa(asym, adv, mode=mode) == _linear_kappa(asym, adv, mode)
+
+
+def test_find_kappa_matches_linear_scan_badly_spaced():
+    for n in range(2, 101):
+        _assert_kappa_matches_linear_scan(badly_spaced(n), FLOAT)
+    for n in range(2, 12):
+        _assert_kappa_matches_linear_scan(badly_spaced(n), EXACT)
+
+
+# (states, principals, seeds, modes) of random models
+KAPPA_POOLS = [
+    (8, 3, range(40), (EXACT, FLOAT)),
+    (5, 4, range(40), (EXACT, FLOAT)),
+    (6, 3, range(40), (EXACT, FLOAT)),
+    (30, 20, range(5), (FLOAT,)),
+    (30, 100, range(5), (FLOAT,)),
+]
+
+
+@pytest.mark.parametrize("states,principals,seeds,modes", KAPPA_POOLS)
+def test_find_kappa_matches_linear_scan_random(states, principals, seeds, modes):
+    for seed in seeds:
+        asym = random_mdp(
+            RandomMdpConfig(num_states=states, num_principals=principals, seed=seed)
+        )
+        for mode in modes:
+            _assert_kappa_matches_linear_scan(asym, mode)
 
 
 def test_kappa_estimate_investment(investment):
@@ -482,6 +542,16 @@ def test_optimize_badly_spaced_end_to_end():
         - float(rep.baseline)
         - float(rep.deviation_gain)
     ) < 1e-9
+
+
+def test_float_prefix_matches_exact_past_underflow():
+    # kappa 1,146: lam^j underflows binary64 past j ~ 1,100, yet every float
+    # prefix row equals the exact one
+    b12 = badly_spaced(12)
+    f = optimize(b12, mode=FLOAT)
+    e = optimize(b12, mode=EXACT)
+    assert f.kappa == e.kappa == 1146
+    assert f.strategy.prefix == e.strategy.prefix
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
