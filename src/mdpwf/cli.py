@@ -531,7 +531,7 @@ def main(argv=None) -> int:
         # unknown state/action names surface as lookup errors
         print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .linalg import policy_topo_order, policy_values_exact, policy_values_float
-from .model import AsymMdp, Mdp
+from .linalg import _entries, _exact_solve, _float_solve, topo_order
+from .linalg import policy_values_exact, policy_values_float
+from .model import AsymMdp
 from .numeric import FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
 
@@ -35,46 +35,30 @@ def _bundle(vectors):
 def eval_positional(asym: AsymMdp, sigma, mode: NumericMode = FLOAT) -> EvalResult:
     """Discounted payoff of a pure positional strategy, for every state."""
     check_positional(asym, sigma)
-    if mode.is_exact:
-        order = policy_topo_order(asym.mdp.transitions, sigma)
-        vectors = [
-            policy_values_exact(asym, sigma, i, order=order)
-            for i in range(asym.n_principals)
-        ]
-    else:
-        view = asym.float_view()
-        vectors = [
-            policy_values_float(view, sigma, i) for i in range(asym.n_principals)
-        ]
-    return _bundle(vectors)
+    view = asym.float_view(mode)
+    if not mode.is_exact:
+        return _bundle([policy_values_float(view, sigma, i) for i in range(asym.n_principals)])
+    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
+    order = topo_order(view.n_states, *_entries(view, rows)[:2])
+    return _bundle([policy_values_exact(view, sigma, i, order) for i in range(asym.n_principals)])
 
 
 def eval_stationary_mixed(
     asym: AsymMdp, strategy: MixedStationaryStrategy, mode: NumericMode = FLOAT
 ) -> EvalResult:
-    """Payoffs of a per-state action distribution: the positional value of
-    the averaged chain, a model with one action per state."""
+    """Payoffs of a per-state action distribution: the policy system of the
+    view's rows, each weighted by its action's probability."""
     strategy.check(asym, tolerance=0.0 if mode.is_exact else 1e-12)
-    avg_trans = []
-    avg_rewards = []
-    for s, dist in enumerate(strategy.probs):
-        acc = {}
-        for a, w in enumerate(dist):
-            if w == 0:
-                continue
-            for t, p in asym.mdp.transitions[s][a]:
-                acc[t] = acc.get(t, Fraction(0)) + w * p
-        avg_trans.append([list(acc.items())])
-        avg_rewards.append([[
-            sum((w * r[i] for w, r in zip(dist, asym.rewards[s]) if w), Fraction(0))
-            for i in range(asym.n_principals)
-        ]])
-    chain = AsymMdp(
-        mdp=Mdp(asym.mdp.states, [["mixed"]] * asym.n_states, avg_trans),
-        principals=asym.principals,
-        rewards=avg_rewards,
-    )
-    return eval_positional(chain, [0] * asym.n_states, mode)
+    view = asym.float_view(mode)
+    weight = np.array([w for dist in strategy.probs for w in dist], dtype=view.dtype)
+    rows = np.flatnonzero(weight)
+    entries = _entries(view, rows, weight)
+    r = np.zeros((view.n_states, view.n_principals), dtype=view.dtype)
+    np.add.at(r, view.row_state[rows], weight[rows, None] * view.rewards[rows])
+    if not mode.is_exact:
+        return _bundle([_float_solve(view, i, entries, ri) for i, ri in enumerate(r.T)])
+    order = topo_order(view.n_states, *entries[:2])
+    return _bundle([_exact_solve(view, i, entries, ri, order) for i, ri in enumerate(r.T)])
 
 
 def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:
@@ -123,12 +107,9 @@ def _affine_power(view, played, length, u):
     """u after `length` steps of u -> r + lam * P u over the played rows, by
     repeated squaring of each principal's augmented matrix [[lam P, r], [0, 1]]."""
     n = view.n_states
-    take = np.zeros(view.n_rows, dtype=bool)
-    take[played] = True
-    entry = take[view.succ_row]
+    src, dst, prob = _entries(view, played)
     p = np.zeros((n, n), dtype=view.dtype)
-    src = view.row_state[view.succ_row[entry]]
-    np.add.at(p, (src, view.succ_idx[entry]), view.succ_prob[entry])  # sums repeated successors
+    np.add.at(p, (src, dst), prob)  # sums repeated successors
     base = np.zeros((view.n_principals, n + 1, n + 1), dtype=view.dtype)
     base[:, :n, :n] = view.discounts[:, None, None] * p
     base[:, :n, n] = view.rewards[played].T

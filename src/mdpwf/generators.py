@@ -177,6 +177,8 @@ def random_mdp(cfg: RandomMdpConfig) -> AsymMdp:
     and grid rewards.  Identical seeds give identical canonical bytes."""
     if cfg.num_states < 1 or cfg.actions_per_state < 1:
         raise ValueError("need at least one state and one action per state")
+    if cfg.num_principals < 1:
+        raise ValueError("need at least one principal")
     lo, hi = cfg.successors
     if not (1 <= lo <= hi):
         raise ValueError("successor range must satisfy 1 <= lo <= hi")

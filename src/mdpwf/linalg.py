@@ -1,9 +1,10 @@
 """Policy evaluation back-ends: exact rational and binary64 solvers.
 
-Policy evaluation solves (I - lam * P_sigma) v = r_sigma.  The matrix is
-strictly row diagonally dominant for lam < 1, so Gaussian elimination
-needs no pivoting; when the policy graph is acyclic apart from self
-loops, plain back-substitution along a topological order is used instead.
+Policy evaluation solves (I - lam * P_sigma) v = r_sigma.  Both modes
+assemble it from the same successor entries of the row view (`_entries`).
+The matrix is strictly row diagonally dominant for lam < 1, so Gaussian
+elimination needs no pivoting; when the policy graph is acyclic apart from
+self loops, exact mode back-substitutes along a topological order instead.
 """
 
 from __future__ import annotations
@@ -18,112 +19,115 @@ _DENSE_LIMIT = 600
 
 
 def exact_gauss(a, b):
-    """Solve a dense rational system in place; `a` and `b` are consumed."""
+    """Solve a dense rational system held in object arrays; `a` and `b`
+    are consumed."""
     n = len(b)
     for col in range(n):
-        if a[col][col] == 0:
-            pivot = next(
-                (r for r in range(col + 1, n) if a[r][col] != 0), None
-            )
-            if pivot is None:
+        if a[col, col] == 0:
+            below = np.flatnonzero(a[col + 1:, col] != 0)
+            if not len(below):
                 raise MdpwfError("singular linear system (internal invariant violated)")
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
+            pivot = col + 1 + below[0]
+            a[[col, pivot]] = a[[pivot, col]]
+            b[[col, pivot]] = b[[pivot, col]]
+        inv = 1 / a[col, col]
         for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            row, prow = a[r], a[col]
-            for c in range(col, n):
-                row[c] -= factor * prow[c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
+            factor = a[r, col] * inv
+            if factor != 0:
+                a[r, col:] -= factor * a[col, col:]
+                b[r] -= factor * b[col]
+    x = np.empty(n, dtype=object)
     for r in range(n - 1, -1, -1):
-        acc = b[r]
-        row = a[r]
-        for c in range(r + 1, n):
-            acc -= row[c] * x[c]
-        x[r] = acc / row[r]
-    return x
+        x[r] = (b[r] - a[r, r + 1:] @ x[r + 1:]) / a[r, r]
+    return x.tolist()
 
 
-def policy_topo_order(transitions, sigma):
-    """Reverse topological order of the policy graph ignoring self loops,
-    or None if it has a cycle through two or more states."""
-    n = len(sigma)
-    succs = []
-    for s in range(n):
-        succs.append([t for t, _ in transitions[s][sigma[s]] if t != s])
-    indeg = [0] * n
-    for s in range(n):
-        for t in succs[s]:
-            indeg[t] += 1
-    stack = [s for s in range(n) if indeg[s] == 0]
-    order = []
-    while stack:
-        s = stack.pop()
-        order.append(s)
+def topo_order(n, src, dst):
+    """Reverse topological order (sinks first) of the graph on n states with
+    edges src -> dst, ignoring self loops; None if it has a cycle through
+    two or more states."""
+    keep = src != dst
+    succs = [[] for _ in range(n)]
+    for s, t in zip(src[keep].tolist(), dst[keep].tolist()):
+        succs[s].append(t)
+    indeg = np.bincount(dst[keep], minlength=n).tolist()
+    order = [s for s in range(n) if not indeg[s]]
+    for s in order:  # Kahn's algorithm; the list is its queue and grows as it is read
         for t in succs[s]:
             indeg[t] -= 1
-            if indeg[t] == 0:
-                stack.append(t)
-    if len(order) < n:
-        return None
-    order.reverse()  # evaluate sinks first
-    return order
+            if not indeg[t]:
+                order.append(t)
+    return order[::-1] if len(order) == n else None
 
 
-def policy_values_exact(asym, sigma, principal, order=None):
-    """Exact value vector of a positional strategy for one principal."""
-    lam = asym.discounts[principal]
-    trans = asym.mdp.transitions
-    n = asym.n_states
-    if order is None:
-        order = policy_topo_order(trans, sigma)
-    if order is not None:
-        v = [Fraction(0)] * n
-        for s in order:
-            acc = asym.rewards[s][sigma[s]][principal]
-            self_p = Fraction(0)
-            for t, p in trans[s][sigma[s]]:
-                if t == s:
-                    self_p += p
-                else:
-                    acc += lam * p * v[t]
-            v[s] = acc / (1 - lam * self_p)
-        return v
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for s in range(n):
-        a[s][s] = Fraction(1)
-        b[s] = asym.rewards[s][sigma[s]][principal]
-        for t, p in trans[s][sigma[s]]:
-            a[s][t] -= lam * p
-    return exact_gauss(a, b)
+def _entries(view, rows, weight=None):
+    """Successor entries of the view's `rows` (ascending), in row order:
+    source state, successor and probability arrays.  With `weight`, one
+    number per row of the view, each probability is scaled by its row's."""
+    take = np.zeros(view.n_rows, dtype=bool)
+    take[rows] = True
+    e = take[view.succ_row]
+    row = view.succ_row[e]
+    prob = view.succ_prob[e] if weight is None else weight[row] * view.succ_prob[e]
+    return view.row_state[row], view.succ_idx[e], prob
 
 
-def policy_values_float(view, sigma, principal):
-    """binary64 value vector of a positional strategy for one principal."""
+def _float_solve(view, principal, entries, r):
+    """LAPACK solve, dense up to _DENSE_LIMIT states and sparse above."""
     lam = float(view.discounts[principal])
     n = view.n_states
-    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
-    r = view.rewards[rows, principal]
-    played = np.zeros(view.n_rows, dtype=bool)
-    played[rows] = True
-    # successor entries of the played rows, in state order
-    take = played[view.succ_row]
-    src = view.row_state[view.succ_row[take]]
-    cols = view.succ_idx[take]
-    data = -lam * view.succ_prob[take]
+    src, dst, prob = entries
+    data = -lam * prob
     if n <= _DENSE_LIMIT:
         a = np.eye(n)
-        np.add.at(a, (src, cols), data)
+        np.add.at(a, (src, dst), data)
         return np.linalg.solve(a, r)
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
     a = sparse.coo_matrix(
-        (data, (src, cols)), shape=(n, n)
+        (data, (src, dst)), shape=(n, n)
     ).tocsr() + sparse.identity(n, format="csr")
     return spsolve(a, r)
+
+
+def _exact_solve(view, principal, entries, r, order):
+    """Back-substitution along `order`, summing each state's self-loop
+    entries, or `exact_gauss` when `order` is None; `r` is consumed."""
+    lam = view.discounts[principal]
+    n = view.n_states
+    src, dst, prob = entries
+    if order is None:
+        a = np.full((n, n), Fraction(0), dtype=object)
+        np.fill_diagonal(a, Fraction(1))
+        np.add.at(a, (src, dst), -lam * prob)  # sums repeated successors
+        return exact_gauss(a, r)
+    ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
+    dst, prob, r = dst.tolist(), prob.tolist(), r.tolist()
+    v = [Fraction(0)] * n
+    for s in order:
+        acc, self_p = r[s], Fraction(0)
+        for k in range(ptr[s], ptr[s + 1]):
+            if dst[k] == s:
+                self_p += prob[k]
+            else:
+                acc += lam * prob[k] * v[dst[k]]
+        v[s] = acc / (1 - lam * self_p)
+    return v
+
+
+def policy_values_exact(view, sigma, principal, order=None):
+    """Exact value vector of a positional strategy for one principal, over
+    the exact row view; `order` is a `topo_order` valid for the policy's
+    graph (the oracle passes the union graph's), found here when None."""
+    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
+    entries = _entries(view, rows)
+    if order is None:
+        order = topo_order(view.n_states, *entries[:2])
+    return _exact_solve(view, principal, entries, view.rewards[rows, principal], order)
+
+
+def policy_values_float(view, sigma, principal):
+    """binary64 value vector of a positional strategy for one principal."""
+    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
+    return _float_solve(view, principal, _entries(view, rows), view.rewards[rows, principal])

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
-from .linalg import policy_topo_order, policy_values_exact
+from .linalg import policy_values_exact, topo_order
 from .model import AsymMdp
 from .numeric import EXACT, FLOAT, NumericMode
 from .strategies import CountingStrategy
@@ -23,11 +23,8 @@ BLOCK = 1024  # strategies scored per array pass
 def _full_graph_topo(asym):
     """Reverse topological order of the union graph over all actions,
     ignoring self loops; None if cyclic.  Valid for every policy."""
-    union = [
-        [list({t: p for succ in per_action for t, p in succ}.items())]
-        for per_action in asym.mdp.transitions
-    ]
-    return policy_topo_order(union, [0] * asym.n_states)
+    view = asym.float_view()
+    return topo_order(asym.n_states, view.row_state[view.succ_row], view.succ_idx)
 
 
 def _blocks(counts, cap=math.inf):
@@ -149,7 +146,7 @@ def threshold_decide_positional(
             if not mode.is_exact:
                 return ThresholdDecision(True, sigma, float(sw[k]))
             exact_sw = sum(
-                policy_values_exact(asym, sigma, i, order=order)[start]
+                policy_values_exact(asym.float_view(EXACT), sigma, i, order=order)[start]
                 for i in range(asym.n_principals)
             )
             if exact_sw >= threshold:
@@ -202,6 +199,8 @@ def enumerate_counting(
     """Exhaust all prefix tables of depth <= horizon with all positional
     tails; prefix cells unreachable from the start at their step are
     pruned (welfare-neutral)."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     layers, closure = _reachable_layers(asym, start, horizon)
     cells = [(j, s) for j, layer in enumerate(layers) for s in layer]
     counts = [len(asym.mdp.actions[s]) for _, s in cells]

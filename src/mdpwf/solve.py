@@ -149,7 +149,7 @@ def _policy_iteration(asym, principal, restriction, mode):
     sigma = [allowed[0] for allowed in restriction]
     for _ in range(100_000):
         if mode.is_exact:
-            v = policy_values_exact(asym, sigma, principal)
+            v = policy_values_exact(view, sigma, principal)
             eps = 0
         else:
             v = policy_values_float(view, sigma, principal)

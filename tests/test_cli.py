@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_gen_validate_roundtrip(tmp_path, capsys):
 
 def test_validate_reports_violations(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    doc = json.loads(dumps(loads(open(_write_investment(tmp_path)).read())))
+    doc = json.loads(dumps(loads(Path(_write_investment(tmp_path)).read_text())))
     doc["principals"][0]["discount"] = "1/3"  # ties the two discounts
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
@@ -156,7 +157,7 @@ def test_oracle_threshold_auto_pipe(tmp_path, capsys, monkeypatch):
     assert doc["decision"] is True
     assert set(doc["assignment"]) == {"x1", "x2", "x3"}
     # piped form: model arrives on stdin as "-"
-    monkeypatch.setattr("sys.stdin", io.StringIO(open(red).read()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(red).read_text()))
     assert main(["oracle", "-", "--threshold", "auto"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("YES")
@@ -183,14 +184,15 @@ def test_gen_random_deterministic(tmp_path):
             "--discounts", "0.9,0.3"]
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_bench_cli(tmp_path, capsys):
     out = str(tmp_path / "rq1.csv")
     assert main(["bench", "rq1", "--states", "4,6", "--seeds", "0", "--csv", out]) == 0
     assert "2 rows" in capsys.readouterr().out
-    assert open(out).readline().startswith("states,")
+    with open(out) as f:
+        assert f.readline().startswith("states,")
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -214,7 +216,7 @@ def test_sweep_rejects_non_positive_step(tmp_path, capsys, step):
 
 def test_non_string_state_name_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    doc = json.loads(dumps(loads(open(_write_investment(tmp_path)).read())))
+    doc = json.loads(dumps(loads(Path(_write_investment(tmp_path)).read_text())))
     doc["actions"][0]["state"] = ["s0"]
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
@@ -243,3 +245,16 @@ def test_domain_errors_exit_1(tmp_path, capsys):
 def test_missing_file_exit_1(capsys):
     assert main(["validate", "/nonexistent/x.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_random_zero_principals_exit_1(capsys):
+    assert main(["gen", "random", "--states", "3", "--principals", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "principal" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "optimize"])
+def test_directory_as_model_exit_1(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

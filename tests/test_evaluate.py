@@ -23,6 +23,7 @@ from mdpwf import (
     random_mdp,
 )
 from mdpwf.evaluate import counting_value_from
+from mdpwf.linalg import _entries, topo_order
 
 
 def hotel_payoff(lam: Fraction, k: int) -> Fraction:
@@ -77,6 +78,34 @@ def test_mixed_point_equals_positional(investment):
         eval_stationary_mixed(investment, point, EXACT).social_welfare
         == eval_positional(investment, [1, 0], EXACT).social_welfare
     )
+    # a point mass weights each played probability by exactly 1.0
+    assert (
+        eval_stationary_mixed(investment, point, FLOAT).social_welfare
+        == eval_positional(investment, [1, 0], FLOAT).social_welfare
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mixed_float_agrees_with_exact_on_cyclic_chains(seed):
+    asym = random_mdp(
+        RandomMdpConfig(num_states=6, actions_per_state=3, num_principals=3, seed=seed)
+    )
+    rng = np.random.default_rng(seed)
+    probs = []
+    for acts in asym.mdp.actions:
+        w = rng.integers(0, 4, size=len(acts)).tolist()
+        w[rng.integers(len(acts))] += 1  # at least one played action
+        probs.append([Fraction(x, sum(w)) for x in w])
+    mix = MixedStationaryStrategy(probs)
+    # the averaged chain has a cycle through two or more states
+    view = asym.float_view(EXACT)
+    rows = np.flatnonzero([p for dist in probs for p in dist])
+    src, dst, _ = _entries(view, rows)
+    assert topo_order(asym.n_states, src, dst) is None
+    exact = eval_stationary_mixed(asym, mix, EXACT)
+    approx = eval_stationary_mixed(asym, mix, FLOAT)
+    for v_exact, v_float in zip(exact.per_principal, approx.per_principal):
+        assert list(v_float) == pytest.approx([float(x) for x in v_exact], rel=1e-12, abs=0)
 
 
 def test_mixed_degenerate_on_a(investment):
@@ -115,6 +144,22 @@ def test_positional_sums_repeated_self_loops(doubled_self_loop, mode):
     assert res.per_principal[0][0] == pytest.approx(Fraction(4, 3), rel=1e-15, abs=0)
     if mode.is_exact:
         assert res.per_principal[0][0] == Fraction(4, 3)
+    # a cyclic policy, solved without back-substitution: s0 -a-> {s1: 1/4,
+    # s1: 1/4, s0: 1/2} with reward 1, s1 -a-> s0 with reward 0, lam 1/2, so
+    # v(s0) = 1 + v(s1) / 4 + v(s0) / 4 with v(s1) = v(s0) / 2, or 8/5;
+    # keeping only the last s1 entry would give 16/11
+    cyclic = AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2))],
+        actions=[
+            ("s0", "a", [("s1", Fraction(1, 4)), ("s1", Fraction(1, 4)), ("s0", Fraction(1, 2))], 1),
+            ("s1", "a", [("s0", 1)], 0),
+        ],
+    )
+    res = eval_positional(cyclic, [0, 0], mode)
+    assert res.per_principal[0][0] == pytest.approx(Fraction(8, 5), rel=1e-15, abs=0)
+    if mode.is_exact:
+        assert res.per_principal[0][0] == Fraction(8, 5)
 
 
 def test_counting_two_step_wait(investment):

@@ -134,6 +134,11 @@ def test_infeasible_configs():
                                    discounts=[Fraction(1, 3), Fraction(1, 2)]))
 
 
+def test_random_mdp_rejects_zero_principals():
+    with pytest.raises(ValueError, match="at least one principal"):
+        random_mdp(RandomMdpConfig(num_states=3, num_principals=0))
+
+
 # -- DIMACS -------------------------------------------------------------------
 
 

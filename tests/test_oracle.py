@@ -64,6 +64,11 @@ def test_counting_horizon_zero_equals_positional(investment):
     assert cnt.best_strategy.kappa == 0
 
 
+def test_counting_rejects_negative_horizon(investment):
+    with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+        enumerate_counting(investment, 0, -1)
+
+
 def test_counting_cap(investment):
     with pytest.raises(CapExceededError):
         enumerate_counting(investment, 0, 12, cap=100)
