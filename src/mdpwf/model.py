@@ -193,8 +193,10 @@ class FloatView:
         self.discounts = self._numbers(asym.discounts)
         self.row_ptr = np.array([*accumulate(counts, initial=0)], dtype=np.int64)
         self.row_state = np.repeat(np.arange(self.n_states), counts)
+        self.row_index = np.arange(self.n_rows)
+        self.local_action = self.row_index - self.row_ptr[self.row_state]  # a of row (s, a)
         self.succ_ptr = np.array([*accumulate(succ_counts, initial=0)], dtype=np.int64)
-        self.succ_row = np.repeat(np.arange(self.n_rows), succ_counts)  # row of each entry
+        self.succ_row = np.repeat(self.row_index, succ_counts)  # row of each entry
         self.succ_idx = np.array([t for row in pairs for t, _ in row], dtype=np.int64)
         self.succ_prob = self._numbers([p for row in pairs for _, p in row])
         self.rewards = self._numbers(

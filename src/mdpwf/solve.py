@@ -1,9 +1,11 @@
 """Single-principal discounted solving: optimal values, Q-values, and
-optimal-action sets, on an optionally action-restricted model."""
+optimal-action sets, on an optionally action-restricted model.  A
+restriction is a bool mask over the rows of `asym.float_view(mode)`;
+per-state lists of action indices are its public form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,14 +28,21 @@ class ValueVector:
         return self.values[s]
 
 
-@dataclass
+@dataclass(eq=False)
 class QTable:
-    """One-step lookahead values q(s, a) for the allowed rows."""
+    """One-step lookahead values q over the view's rows, the restriction's
+    row mask `allowed`, and the view's `row_ptr`."""
 
-    q: dict  # (state, local action) -> value
+    q: np.ndarray
+    allowed: np.ndarray
+    row_ptr: np.ndarray = field(repr=False)
 
     def value(self, s, a):
-        return self.q[(s, a)]
+        """q(s, a) for an allowed local action a; KeyError otherwise."""
+        ptr = self.row_ptr
+        if 0 <= s < len(ptr) - 1 and 0 <= a < ptr[s + 1] - ptr[s] and self.allowed[ptr[s] + a]:
+            return self.q.item(ptr[s] + a)
+        raise KeyError((s, a))
 
 
 @dataclass
@@ -43,17 +52,37 @@ class SolveResult:
     strategy: list  # one optimal action per state
 
 
-def full_restriction(asym: AsymMdp):
-    return [list(range(len(asym.mdp.actions[s]))) for s in range(asym.n_states)]
+class _RowSets(list):
+    """Per-state allowed action indices, ascending, read from `mask`, a bool
+    mask over the view's rows that the list keeps for the next solve."""
+
+    def __init__(self, view, mask):
+        super().__init__([] for _ in range(view.n_states))
+        for s, a in zip(view.row_state[mask].tolist(), view.local_action[mask].tolist()):
+            self[s].append(a)
+        self.mask = mask
 
 
-def _check_restriction(asym, restriction):
+def _row_mask(asym, view, restriction):
+    """The restriction as a bool mask over the view's rows: all rows for
+    None, an `optimal_action_set` result's own mask, or else the rows of
+    per-state lists of local action indices, checked state by state."""
     if restriction is None:
-        return full_restriction(asym)
-    for s, allowed in enumerate(restriction):
-        if not allowed:
-            raise ValueError(f"restriction leaves state {asym.mdp.states[s]!r} without actions")
-    return restriction
+        return np.ones(view.n_rows, dtype=bool)
+    if isinstance(restriction, _RowSets):
+        return restriction.mask
+    if len(restriction) > view.n_states:
+        raise ValueError(f"restriction has {len(restriction)} entries for {view.n_states} states")
+    starts, rows = view.row_ptr.tolist(), []
+    for s, name in enumerate(asym.mdp.states):
+        allowed = restriction[s] if s < len(restriction) else []
+        n = starts[s + 1] - starts[s]
+        if not allowed or not set(allowed) <= set(range(n)):
+            raise ValueError(f"restriction allows {allowed} at state {name!r} (actions 0..{n - 1})")
+        rows.extend(starts[s] + a for a in allowed)
+    mask = np.zeros(view.n_rows, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def solve_discounted(
@@ -66,20 +95,22 @@ def solve_discounted(
 ) -> SolveResult:
     """Optimal discounted values for one principal.
 
-    `method` is "pi" (policy iteration with exact per-policy solves) or
-    "vi" (value iteration, float mode only, stopping when the sup-norm
-    residual drops below tolerance * (1 - lam) / (2 lam)).
+    `restriction` lists the allowed local action indices of every state
+    (None allows all).  `method` is "pi" (policy iteration with exact
+    per-policy solves) or "vi" (value iteration, float mode only, stopping
+    when the sup-norm residual drops below tolerance * (1 - lam) / (2 lam)).
     """
-    restriction = _check_restriction(asym, restriction)
+    view = asym.float_view(mode)
+    mask = _row_mask(asym, view, restriction)
     lam = asym.discounts[principal]
     if not 0 < lam < 1:
         raise ValueError("discount factor must lie in (0, 1)")
     if method == "pi":
-        return _policy_iteration(asym, principal, restriction, mode)
+        return _policy_iteration(asym, view, principal, mask, mode)
     if method == "vi":
         if mode.is_exact:
             raise ValueError("value iteration requires float mode (exact mode has tolerance 0)")
-        return _value_iteration_float(asym, principal, restriction, mode, max_iterations)
+        return _value_iteration_float(asym, view, principal, mask, mode, max_iterations)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -90,40 +121,26 @@ def optimal_action_set(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     mode: NumericMode = FLOAT,
 ):
-    """Per-state actions whose q-value ties the optimum.
-
-    Exact mode keeps q(s, a) == v(s); float mode keeps
-    q(s, a) >= v(s) - tie_tolerance.  Never empty for valid inputs.
-    """
-    sets = [[] for _ in range(len(v.values))]
-    for (s, a), qv in q.q.items():
-        if mode.is_exact:
-            keep = qv == v.values[s]
-        else:
-            keep = qv >= v.values[s] - tie_tolerance
-        if keep:
-            sets[s].append(a)
-    for s, allowed in enumerate(sets):
-        allowed.sort()
-        if not allowed:
-            raise ConvergenceError(
-                f"empty optimal action set at state {asym.mdp.states[s]!r}; "
-                "solver tolerance too tight"
-            )
+    """Per-state allowed actions whose q-value ties the optimum: exact mode
+    keeps q(s, a) == v(s), float mode q(s, a) >= v(s) - tie_tolerance.  A
+    state left empty raises ConvergenceError naming its shortfall
+    v(s) - max allowed q(s, a) and the tolerance."""
+    view = asym.float_view(mode)
+    vs = np.asarray(v.values, dtype=view.dtype)[view.row_state]
+    hit = q.q == vs if mode.is_exact else q.q >= vs - tie_tolerance
+    sets = _RowSets(view, q.allowed & hit)
+    if not all(sets):
+        s = sets.index([])
+        best, _ = _masked_max(view, q.q, q.allowed)
+        raise ConvergenceError(
+            f"empty optimal action set at state {asym.mdp.states[s]!r}: "
+            f"v(s) - max allowed q(s, a) = {v.values[s] - best.item(s)} against tie "
+            f"tolerance {0 if mode.is_exact else tie_tolerance}; solver tolerance too tight"
+        )
     return sets
 
 
 # -- back-ends ---------------------------------------------------------------
-
-
-def _restriction_arrays(view, restriction):
-    rows = []
-    ptr = [0]
-    for s, allowed in enumerate(restriction):
-        base = int(view.row_ptr[s])
-        rows.extend(base + a for a in allowed)
-        ptr.append(len(rows))
-    return np.asarray(rows, dtype=np.int64), np.asarray(ptr, dtype=np.int64)
 
 
 def _one_step_all_rows(view, principal, lam, v):
@@ -132,76 +149,57 @@ def _one_step_all_rows(view, principal, lam, v):
     return view.rewards[:, principal] + lam * sums
 
 
-def _q_dict(view, restriction, q_all):
-    starts = view.row_ptr.tolist()
-    q = q_all.tolist()
-    return {(s, a): q[starts[s] + a] for s, allowed in enumerate(restriction) for a in allowed}
+def _masked_max(view, q, mask):
+    """Per-state maximum of q over the rows in `mask`, and q with the rows
+    outside it set to -inf."""
+    q = np.where(mask, q, -np.inf)
+    return np.maximum.reduceat(q, view.row_ptr[:-1]), q
 
 
-def _policy_iteration(asym, principal, restriction, mode):
+def _lowest_actions(view, hit):
+    """Per state, the lowest local action index whose row has `hit` set."""
+    return np.minimum.reduceat(np.where(hit, view.local_action, view.n_rows), view.row_ptr[:-1])
+
+
+def _policy_iteration(asym, view, principal, mask, mode):
     """Policy iteration over the mode's row view.  A state switches to its
     best allowed action (the lowest index among ties) only when that
     improves its q-value by more than eps: 0 in exact mode, which keeps
     the iteration acyclic, and 1e-12 * max(1, max|v|) in float mode."""
-    view = asym.float_view(mode)
     lam = view.discounts[principal]
-    starts = view.row_ptr.tolist()
-    sigma = [allowed[0] for allowed in restriction]
+    starts = view.row_ptr[:-1]
+    sigma = _lowest_actions(view, mask)
     for _ in range(100_000):
         if mode.is_exact:
-            v = policy_values_exact(view, sigma, principal)
-            eps = 0
+            v, eps = policy_values_exact(view, sigma, principal), 0
         else:
             v = policy_values_float(view, sigma, principal)
-            eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-        q_all = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
-        q = q_all.tolist()
-        changed = False
-        for s, allowed in enumerate(restriction):
-            qs = q[starts[s]:starts[s + 1]]
-            best = max(allowed, key=qs.__getitem__)
-            if qs[best] > qs[sigma[s]] + eps:
-                sigma[s] = best
-                changed = True
-        if not changed:
-            vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
-            return SolveResult(
-                values=vv, q=QTable(_q_dict(view, restriction, q_all)), strategy=sigma
-            )
+            eps = 1e-12 * max(1.0, float(abs(v).max()))
+        q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
+        best, masked = _masked_max(view, q, mask)
+        better = best > q[starts + sigma] + eps
+        if not np.count_nonzero(better):
+            vv = ValueVector(v, asym.discounts[principal], principal)
+            return SolveResult(vv, QTable(q, mask, view.row_ptr), sigma.tolist())
+        sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
 
 
-def _value_iteration_float(asym, principal, restriction, mode, max_iterations):
-    view = asym.float_view()
+def _value_iteration_float(asym, view, principal, mask, mode, max_iterations):
     lam = float(view.discounts[principal])
-    res_rows, res_ptr = _restriction_arrays(view, restriction)
     target = mode.tolerance * (1 - lam) / (2 * lam)
     if target <= 0:
         raise ValueError("value iteration needs a positive tolerance")
     v = np.zeros(view.n_states)
     for _ in range(max_iterations):
-        q_all = _one_step_all_rows(view, principal, lam, v)
-        v_new = np.maximum.reduceat(q_all[res_rows], res_ptr[:-1])
-        resid = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if resid < target:
+        v_old, v = v, _masked_max(view, _one_step_all_rows(view, principal, lam, v), mask)[0]
+        if float(np.max(np.abs(v - v_old))) < target:
             break
     else:
-        raise ConvergenceError(
-            f"value iteration did not converge within {max_iterations} sweeps"
-        )
-    q_all = _one_step_all_rows(view, principal, lam, v)
-    sigma = []
-    for s, allowed in enumerate(restriction):
-        base = int(view.row_ptr[s])
-        best = allowed[0]
-        for a in allowed[1:]:
-            if q_all[base + a] > q_all[base + best]:
-                best = a
-        sigma.append(best)
+        raise ConvergenceError(f"value iteration did not converge within {max_iterations} sweeps")
+    q = _one_step_all_rows(view, principal, lam, v)
     # report v consistent with the final q table: v(s) = max_a q(s, a)
-    v = np.maximum.reduceat(q_all[res_rows], res_ptr[:-1])
-    vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
-    return SolveResult(
-        values=vv, q=QTable(_q_dict(view, restriction, q_all)), strategy=sigma
-    )
+    v, masked = _masked_max(view, q, mask)
+    sigma = _lowest_actions(view, masked == v[view.row_state])
+    vv = ValueVector(v, asym.discounts[principal], principal)
+    return SolveResult(vv, QTable(q, mask, view.row_ptr), sigma.tolist())

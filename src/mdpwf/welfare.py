@@ -22,7 +22,7 @@ from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
 from .model import AsymMdp
 from .numeric import DEFAULT_TIE_TOLERANCE, FLOAT, NumericMode
-from .solve import full_restriction, optimal_action_set, solve_discounted
+from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
 
 CHUNK = 1024  # backward-induction steps scored per power table and matmul
@@ -33,7 +33,7 @@ class LongTermResult:
     """Output of the cascade: surviving actions, V_0..V_{n-1}, and the
     deterministic tail (lowest surviving action index per state)."""
 
-    restricted: list  # per-state surviving action indices
+    restricted: list  # per-state surviving action indices (keeps the row mask)
     values: list  # list[ValueVector], one per principal on its level
     tail: list  # positional strategy inside the final restriction
 
@@ -45,8 +45,8 @@ def long_term(
     method: str = "pi",
 ) -> LongTermResult:
     """Restrict the model level by level: solve for principal j, keep only
-    its optimal actions, and hand the rest to principal j+1."""
-    restriction = full_restriction(asym)
+    its optimal actions (as a row mask), and hand the rest to principal j+1."""
+    restriction = None
     values = []
     for j in range(asym.n_principals):
         result = solve_discounted(
@@ -112,11 +112,9 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
     if not mode.is_exact:
         delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.abs(v).max()))] = 0.0
     first = (delta != 0).argmax(axis=1)
-    leading = delta[np.arange(view.n_rows), first]  # 0 on all-zero rows
+    leading = delta[view.row_index, first]  # 0 on all-zero rows
     lead = first - (leading == 0)
-    starts = view.row_ptr.tolist()
-    kept = np.zeros(view.n_rows, dtype=bool)
-    kept[[starts[s] + a for s, allowed in enumerate(lt.restricted) for a in allowed]] = True
+    kept = _row_mask(asym, view, lt.restricted)
     adv = AdvantageTable(asym, delta, lead, kept)
     bad = (leading > 0) | (kept & (leading != 0))
     if bad.any():
@@ -291,7 +289,7 @@ def _backward_induction(asym, adv, kappa, mode):
             row += np.add.reduceat(lam_prob * g[view.succ_idx], succ_starts)
             g = np.maximum.reduceat(row, starts)
         best = np.maximum.reduceat(scores, starts, axis=1)
-        ties = np.where(scores == best[:, view.row_state], np.arange(view.n_rows), view.n_rows)
+        ties = np.where(scores == best[:, view.row_state], view.row_index, view.n_rows)
         prefix[lo:hi] = np.minimum.reduceat(ties, starts, axis=1) - starts
     return prefix.tolist(), g.tolist()
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from mdpwf import (
     EXACT,
     FLOAT,
     AsymMdp,
+    ConvergenceError,
     RandomMdpConfig,
     eval_positional,
     optimal_action_set,
@@ -141,3 +143,100 @@ def test_exact_strategy_evaluates_to_values(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
     ev = eval_positional(investment, res.strategy, EXACT)
     assert list(ev.per_principal[0]) == list(res.values.values)
+
+
+SOLVERS = [
+    pytest.param(EXACT, "pi", id="pi-exact"),
+    pytest.param(FLOAT, "pi", id="pi-float"),
+    pytest.param(FLOAT, "vi", id="vi-float"),
+]
+
+
+@pytest.mark.parametrize("mode, method", SOLVERS)
+@pytest.mark.parametrize(
+    "restriction, message",
+    [
+        ([[-1], [0]], "state 's0'"),  # would play s1's row from s0
+        ([[2], [0]], "state 's0'"),
+        ([[0]], "state 's1'"),  # covers one state of two
+        ([[0, 5], [0]], "state 's0'"),
+        ([[0], [0], [0]], "3 entries for 2 states"),
+    ],
+)
+def test_bad_restriction_rejected(investment, restriction, message, mode, method):
+    with pytest.raises(ValueError, match=message):
+        solve_discounted(investment, 0, mode=mode, method=method, restriction=restriction)
+
+
+def test_q_value_outside_restriction_raises(investment):
+    res = solve_discounted(investment, 1, mode=EXACT, restriction=[[1], [0]])
+    assert res.q.value(0, 1) == Fraction(-1) + Fraction(1, 3) * 9
+    for key in [(0, 0), (0, 2), (1, 1), (2, 0), (-1, 0)]:
+        with pytest.raises(KeyError):
+            res.q.value(*key)
+
+
+@pytest.mark.parametrize(
+    "mode, bump", [(EXACT, Fraction(1, 7)), (FLOAT, 1e-6)], ids=["exact", "float"]
+)
+def test_empty_optimal_set_names_margin(investment, mode, bump):
+    res = solve_discounted(investment, 0, mode=mode)
+    res.values.values[1] += bump  # s1's only action now falls short of v(s1)
+    pattern = r"state 's1': v\(s\) - max allowed q\(s, a\) = (\S+) against tie tolerance (\S+);"
+    with pytest.raises(ConvergenceError, match=pattern) as info:
+        optimal_action_set(investment, res.q, res.values, mode=mode)
+    gap, tolerance = re.search(pattern, str(info.value)).groups()
+    assert float(Fraction(gap)) == pytest.approx(float(bump), rel=1e-6)
+    assert float(tolerance) == (0 if mode.is_exact else 1e-9)
+
+
+def _tie_model():
+    # s0: b and d tie for the best allowed q; e is better but disallowed.
+    # s1: y and z tie; x is better but disallowed.
+    return AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2))],
+        actions=[
+            ("s0", "a", [("s0", 1)], 1),
+            ("s0", "b", [("s0", 1)], 3),
+            ("s0", "c", [("s0", 1)], 2),
+            ("s0", "d", [("s0", 1)], 3),
+            ("s0", "e", [("s0", 1)], 5),
+            ("s1", "x", [("s1", 1)], 4),
+            ("s1", "y", [("s1", 1)], 2),
+            ("s1", "z", [("s1", 1)], 2),
+        ],
+    )
+
+
+@pytest.mark.parametrize("mode, method", SOLVERS)
+def test_strategy_takes_lowest_allowed_index_among_ties(mode, method):
+    asym = _tie_model()
+    res = solve_discounted(asym, 0, mode=mode, method=method, restriction=[[0, 1, 2, 3], [1, 2]])
+    assert res.strategy == [1, 1]
+    assert res.q.value(0, 1) == res.q.value(0, 3)
+    assert float(res.values[0]) == pytest.approx(6)
+    full = solve_discounted(asym, 0, mode=mode, method=method)
+    assert full.strategy == [4, 0]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_optimal_action_set_matches_loop_over_q(mode):
+    """The array compare keeps the allowed (s, a) that the per-pair
+    definition keeps, on an unrestricted and on a restricted level."""
+
+    def loop(res, allowed):
+        def keep(q, v):
+            return q == v if mode.is_exact else q >= v - 1e-9
+
+        return [[a for a in acts if keep(res.q.value(s, a), res.values[s])]
+                for s, acts in enumerate(allowed)]
+
+    for seed in range(20):
+        asym = random_mdp(RandomMdpConfig(num_states=6, actions_per_state=3, seed=seed))
+        top = solve_discounted(asym, 0, mode=mode)
+        sets = optimal_action_set(asym, top.q, top.values, mode=mode)
+        assert sets == loop(top, [range(3)] * 6)
+        low = solve_discounted(asym, 1, mode=mode, restriction=sets)
+        assert optimal_action_set(asym, low.q, low.values, mode=mode) == loop(low, sets)
+        assert all(a in sets[s] for s, a in enumerate(low.strategy))

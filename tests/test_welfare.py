@@ -11,6 +11,7 @@ from mdpwf import (
     FLOAT,
     AsymMdp,
     CertificationError,
+    ConvergenceError,
     HorizonExceededError,
     RandomMdpConfig,
     advantages,
@@ -572,3 +573,22 @@ def test_backward_induction_ties_go_to_lowest_index(mode):
     res = optimize(asym, mode=mode)
     assert res.kappa == 2
     assert res.strategy.prefix == [[1, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 6])
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="known: the float tie tolerance is absolute (1e-9), below one ulp of "
+    "values up to 1e9, so some state's optimal action set comes out empty",
+)
+def test_float_optimize_with_large_rewards(seed):
+    base = random_mdp(RandomMdpConfig(8, 3, 2, seed=seed))
+    big = AsymMdp(
+        mdp=base.mdp,
+        principals=base.principals,
+        rewards=[[[r * 10**6 for r in rr] for rr in per_s] for per_s in base.rewards],
+    )
+    exact = optimize(big, mode=EXACT)  # exact mode solves it
+    f = optimize(big, mode=FLOAT)
+    assert f.kappa == exact.kappa
