@@ -52,37 +52,24 @@ class SolveResult:
     strategy: list  # one optimal action per state
 
 
-class _RowSets(list):
-    """Per-state allowed action indices, ascending, read from `mask`, a bool
-    mask over the view's rows that the list keeps for the next solve."""
-
-    def __init__(self, view, mask):
-        super().__init__([] for _ in range(view.n_states))
-        for s, a in zip(view.row_state[mask].tolist(), view.local_action[mask].tolist()):
-            self[s].append(a)
-        self.mask = mask
-
-
 def _row_mask(asym, view, restriction):
     """The restriction as a bool mask over the view's rows: all rows for
-    None, an `optimal_action_set` result's own mask, or else the rows of
-    per-state lists of local action indices, checked state by state."""
+    None, else the rows of per-state lists of local action indices,
+    checked state by state."""
     if restriction is None:
         return np.ones(view.n_rows, dtype=bool)
-    if isinstance(restriction, _RowSets):
-        return restriction.mask
     if len(restriction) > view.n_states:
         raise ValueError(f"restriction has {len(restriction)} entries for {view.n_states} states")
-    starts, rows = view.row_ptr.tolist(), []
+    starts = view.row_ptr.tolist()
+    mask = [False] * view.n_rows
     for s, name in enumerate(asym.mdp.states):
         allowed = restriction[s] if s < len(restriction) else []
         n = starts[s + 1] - starts[s]
         if not allowed or not set(allowed) <= set(range(n)):
             raise ValueError(f"restriction allows {allowed} at state {name!r} (actions 0..{n - 1})")
-        rows.extend(starts[s] + a for a in allowed)
-    mask = np.zeros(view.n_rows, dtype=bool)
-    mask[rows] = True
-    return mask
+        for a in allowed:
+            mask[starts[s] + a] = True
+    return np.array(mask, dtype=bool)
 
 
 def solve_discounted(
@@ -96,9 +83,11 @@ def solve_discounted(
     """Optimal discounted values for one principal.
 
     `restriction` lists the allowed local action indices of every state
-    (None allows all).  `method` is "pi" (policy iteration with exact
-    per-policy solves) or "vi" (value iteration, float mode only, stopping
-    when the sup-norm residual drops below tolerance * (1 - lam) / (2 lam)).
+    (None allows all); the order within a list does not matter, and ties
+    go to the lowest allowed index.  `method` is "pi" (policy iteration
+    with exact per-policy solves) or "vi" (value iteration, float mode
+    only, stopping when the sup-norm residual drops below
+    tolerance * (1 - lam) / (2 lam)).
     """
     view = asym.float_view(mode)
     mask = _row_mask(asym, view, restriction)
@@ -128,7 +117,10 @@ def optimal_action_set(
     view = asym.float_view(mode)
     vs = np.asarray(v.values, dtype=view.dtype)[view.row_state]
     hit = q.q == vs if mode.is_exact else q.q >= vs - tie_tolerance
-    sets = _RowSets(view, q.allowed & hit)
+    hit &= q.allowed
+    sets = [[] for _ in range(view.n_states)]
+    for s, a in zip(view.row_state[hit].tolist(), view.local_action[hit].tolist()):
+        sets[s].append(a)
     if not all(sets):
         s = sets.index([])
         best, _ = _masked_max(view, q.q, q.allowed)
@@ -171,16 +163,19 @@ def _policy_iteration(asym, view, principal, mask, mode):
     sigma = _lowest_actions(view, mask)
     for _ in range(100_000):
         if mode.is_exact:
-            v, eps = policy_values_exact(view, sigma, principal), 0
+            v = policy_values_exact(view, sigma, principal)
+            eps = 0
         else:
             v = policy_values_float(view, sigma, principal)
-            eps = 1e-12 * max(1.0, float(abs(v).max()))
+            eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
         q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
         best, masked = _masked_max(view, q, mask)
         better = best > q[starts + sigma] + eps
         if not np.count_nonzero(better):
-            vv = ValueVector(v, asym.discounts[principal], principal)
-            return SolveResult(vv, QTable(q, mask, view.row_ptr), sigma.tolist())
+            vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
+            return SolveResult(
+                values=vv, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
+            )
         sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
 
@@ -192,14 +187,19 @@ def _value_iteration_float(asym, view, principal, mask, mode, max_iterations):
         raise ValueError("value iteration needs a positive tolerance")
     v = np.zeros(view.n_states)
     for _ in range(max_iterations):
-        v_old, v = v, _masked_max(view, _one_step_all_rows(view, principal, lam, v), mask)[0]
-        if float(np.max(np.abs(v - v_old))) < target:
+        q = _one_step_all_rows(view, principal, lam, v)
+        v_new, _ = _masked_max(view, q, mask)
+        resid = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if resid < target:
             break
     else:
-        raise ConvergenceError(f"value iteration did not converge within {max_iterations} sweeps")
+        raise ConvergenceError(
+            f"value iteration did not converge within {max_iterations} sweeps"
+        )
     q = _one_step_all_rows(view, principal, lam, v)
     # report v consistent with the final q table: v(s) = max_a q(s, a)
     v, masked = _masked_max(view, q, mask)
     sigma = _lowest_actions(view, masked == v[view.row_state])
-    vv = ValueVector(v, asym.discounts[principal], principal)
-    return SolveResult(vv, QTable(q, mask, view.row_ptr), sigma.tolist())
+    vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
+    return SolveResult(values=vv, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())

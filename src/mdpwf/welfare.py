@@ -33,7 +33,7 @@ class LongTermResult:
     """Output of the cascade: surviving actions, V_0..V_{n-1}, and the
     deterministic tail (lowest surviving action index per state)."""
 
-    restricted: list  # per-state surviving action indices (keeps the row mask)
+    restricted: list  # per-state surviving action indices
     values: list  # list[ValueVector], one per principal on its level
     tail: list  # positional strategy inside the final restriction
 
@@ -45,7 +45,7 @@ def long_term(
     method: str = "pi",
 ) -> LongTermResult:
     """Restrict the model level by level: solve for principal j, keep only
-    its optimal actions (as a row mask), and hand the rest to principal j+1."""
+    its optimal actions, and hand the rest to principal j+1."""
     restriction = None
     values = []
     for j in range(asym.n_principals):

@@ -240,3 +240,26 @@ def test_optimal_action_set_matches_loop_over_q(mode):
         low = solve_discounted(asym, 1, mode=mode, restriction=sets)
         assert optimal_action_set(asym, low.q, low.values, mode=mode) == loop(low, sets)
         assert all(a in sets[s] for s, a in enumerate(low.strategy))
+
+
+@pytest.mark.parametrize("mode, method", SOLVERS)
+def test_ties_ignore_restriction_list_order(mode, method):
+    res = solve_discounted(
+        _tie_model(), 0, mode=mode, method=method, restriction=[[3, 2, 1, 0], [2, 1]]
+    )
+    assert res.strategy == [1, 1]
+
+
+@pytest.mark.parametrize("mode, method", SOLVERS)
+def test_edited_optimal_sets_are_honoured(investment, mode, method):
+    top = solve_discounted(investment, 0, mode=mode)
+    sets = optimal_action_set(investment, top.q, top.values, mode=mode)
+    assert sets == [[1], [0]]
+    sets[0].remove(1)
+    with pytest.raises(ValueError, match="state 's0'"):
+        solve_discounted(investment, 1, mode=mode, method=method, restriction=sets)
+    sets[0].append(0)  # s0 may now play only a
+    res = solve_discounted(investment, 1, mode=mode, method=method, restriction=sets)
+    assert res.strategy == [0, 0]
+    with pytest.raises(KeyError):
+        res.q.value(0, 1)

@@ -592,3 +592,10 @@ def test_float_optimize_with_large_rewards(seed):
     exact = optimize(big, mode=EXACT)  # exact mode solves it
     f = optimize(big, mode=FLOAT)
     assert f.kappa == exact.kappa
+
+
+def test_advantages_reads_edited_restriction(investment):
+    lt = long_term(investment, EXACT)
+    lt.restricted[0][:] = [0]  # keep Alice's suboptimal a at s0 instead of b
+    with pytest.raises(CertificationError, match=r"retained action \('s0', 'a'\)"):
+        advantages(investment, lt, EXACT)
