@@ -161,10 +161,11 @@ def cmd_optimize(args):
         if s not in result.reports:
             raise MdpwfError(f"unknown start state {s!r}")
     cs = result.strategy
+    strategy = counting_to_doc(asym, cs)
     doc = {
         "kappa": result.kappa,
         "kappa_bound": result.kappa_bound.bound,
-        "strategy": counting_to_doc(asym, cs),
+        "strategy": strategy,
         "reports": {s: _report_doc(result.reports[s], mode) for s in starts},
     }
     if not _emit(doc, args):
@@ -177,20 +178,11 @@ def cmd_optimize(args):
                 f"baseline {_fmt(rep.baseline, mode)} + gain {_fmt(rep.deviation_gain, mode)}"
                 f"  [per principal: {pay}]"
             )
-        shown = [
-            (j, asym.mdp.states[s], asym.mdp.actions[s][a])
-            for j, row in enumerate(cs.prefix)
-            for s, a in enumerate(row)
-            if a != cs.tail[s]
-        ]
-        if shown:
+        if strategy["prefix"]:
             print("prefix deviations (step, state -> action):")
-            for j, s, a in shown:
-                print(f"  {j}, {s} -> {a}")
-        tail = " ".join(
-            f"{asym.mdp.states[s]}->{asym.mdp.actions[s][a]}" for s, a in enumerate(cs.tail)
-        )
-        print(f"tail: {tail}")
+            for d in strategy["prefix"]:
+                print(f"  {d['step']}, {d['state']} -> {d['action']}")
+        print("tail: " + " ".join(f"{t['state']}->{t['action']}" for t in strategy["tail"]))
     if args.out:
         report_state = starts[0]
         from .strategies import save_strategy

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _entries, _exact_solve, _float_solve, topo_order
-from .linalg import policy_values_exact, policy_values_float
+from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
 from .model import AsymMdp
 from .numeric import FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
@@ -32,15 +31,22 @@ def _bundle(vectors):
     return EvalResult(per_principal=vectors, social_welfare=sw)
 
 
+def _policy_system(view, entries, r, mode):
+    """Payoffs of the policy system with successor `entries` and
+    n_states x n_principals rewards `r`, solved once per principal; exact
+    mode finds the graph's `topo_order` once for all of them."""
+    if not mode.is_exact:
+        return _bundle([policy_values_float(view, i, entries, ri) for i, ri in enumerate(r.T)])
+    order = topo_order(view.n_states, *entries[:2])
+    return _bundle([policy_values_exact(view, i, entries, ri, order) for i, ri in enumerate(r.T)])
+
+
 def eval_positional(asym: AsymMdp, sigma, mode: NumericMode = FLOAT) -> EvalResult:
     """Discounted payoff of a pure positional strategy, for every state."""
     check_positional(asym, sigma)
     view = asym.float_view(mode)
-    if not mode.is_exact:
-        return _bundle([policy_values_float(view, sigma, i) for i in range(asym.n_principals)])
     rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
-    order = topo_order(view.n_states, *_entries(view, rows)[:2])
-    return _bundle([policy_values_exact(view, sigma, i, order) for i in range(asym.n_principals)])
+    return _policy_system(view, _entries(view, rows), view.rewards[rows], mode)
 
 
 def eval_stationary_mixed(
@@ -52,13 +58,9 @@ def eval_stationary_mixed(
     view = asym.float_view(mode)
     weight = np.array([w for dist in strategy.probs for w in dist], dtype=view.dtype)
     rows = np.flatnonzero(weight)
-    entries = _entries(view, rows, weight)
     r = np.zeros((view.n_states, view.n_principals), dtype=view.dtype)
     np.add.at(r, view.row_state[rows], weight[rows, None] * view.rewards[rows])
-    if not mode.is_exact:
-        return _bundle([_float_solve(view, i, entries, ri) for i, ri in enumerate(r.T)])
-    order = topo_order(view.n_states, *entries[:2])
-    return _bundle([_exact_solve(view, i, entries, ri, order) for i, ri in enumerate(r.T)])
+    return _policy_system(view, _entries(view, rows, weight), r, mode)
 
 
 def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:

@@ -1,7 +1,8 @@
 """Policy evaluation back-ends: exact rational and binary64 solvers.
 
 Policy evaluation solves (I - lam * P_sigma) v = r_sigma.  Both modes
-assemble it from the same successor entries of the row view (`_entries`).
+assemble it from the same successor entries of the row view (`_entries`),
+once per strategy in the caller, and solve it once per principal.
 The matrix is strictly row diagonally dominant for lam < 1, so Gaussian
 elimination needs no pivoting; when the policy graph is acyclic apart from
 self loops, exact mode back-substitutes along a topological order instead.
@@ -72,8 +73,10 @@ def _entries(view, rows, weight=None):
     return view.row_state[row], view.succ_idx[e], prob
 
 
-def _float_solve(view, principal, entries, r):
-    """LAPACK solve, dense up to _DENSE_LIMIT states and sparse above."""
+def policy_values_float(view, principal, entries, r):
+    """binary64 value vector for one principal of the policy system with
+    successor `entries` and rewards `r`: LAPACK solve, dense up to
+    _DENSE_LIMIT states and sparse above."""
     lam = float(view.discounts[principal])
     n = view.n_states
     src, dst, prob = entries
@@ -91,9 +94,11 @@ def _float_solve(view, principal, entries, r):
     return spsolve(a, r)
 
 
-def _exact_solve(view, principal, entries, r, order):
-    """Back-substitution along `order`, summing each state's self-loop
-    entries, or `exact_gauss` when `order` is None; `r` is consumed."""
+def policy_values_exact(view, principal, entries, r, order):
+    """Exact value vector for one principal of the policy system with
+    successor `entries` and rewards `r` (consumed): back-substitution along
+    `order`, a `topo_order` valid for the policy's graph, summing each
+    state's self-loop entries; `exact_gauss` when `order` is None (a cycle)."""
     lam = view.discounts[principal]
     n = view.n_states
     src, dst, prob = entries
@@ -114,20 +119,3 @@ def _exact_solve(view, principal, entries, r, order):
                 acc += lam * prob[k] * v[dst[k]]
         v[s] = acc / (1 - lam * self_p)
     return v
-
-
-def policy_values_exact(view, sigma, principal, order=None):
-    """Exact value vector of a positional strategy for one principal, over
-    the exact row view; `order` is a `topo_order` valid for the policy's
-    graph (the oracle passes the union graph's), found here when None."""
-    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
-    entries = _entries(view, rows)
-    if order is None:
-        order = topo_order(view.n_states, *entries[:2])
-    return _exact_solve(view, principal, entries, view.rewards[rows, principal], order)
-
-
-def policy_values_float(view, sigma, principal):
-    """binary64 value vector of a positional strategy for one principal."""
-    rows = view.row_ptr[:-1] + np.asarray(sigma, dtype=np.int64)
-    return _float_solve(view, principal, _entries(view, rows), view.rewards[rows, principal])

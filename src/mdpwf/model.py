@@ -229,6 +229,8 @@ def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:
     """Check every model invariant; violations are data, not exceptions."""
     v = []
     mdp = asym.mdp
+    if not mdp.states:
+        v.append("model has no states")
     if not asym.principals:
         v.append("model has no principals")
     for p in asym.principals:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
-from .linalg import policy_values_exact, topo_order
+from .linalg import _entries, policy_values_exact, topo_order
 from .model import AsymMdp
 from .numeric import EXACT, FLOAT, NumericMode
 from .strategies import CountingStrategy
@@ -136,6 +136,9 @@ def threshold_decide_positional(
     Exact mode confirms candidates in rational arithmetic, in rank order, so
     the witness is the first strategy reaching the threshold exactly; float
     mode returns the first candidate, which may fall short by that margin.
+    A confirmation back-substitutes along the union graph's order, or along
+    the policy's own when the union graph is cyclic (`exact_gauss` only
+    when the policy's graph is cyclic too).
     """
     order = _full_graph_topo(asym)
     thr_f = float(threshold)
@@ -145,8 +148,12 @@ def threshold_decide_positional(
             sigma = sig[k].tolist()
             if not mode.is_exact:
                 return ThresholdDecision(True, sigma, float(sw[k]))
+            view = asym.float_view(EXACT)
+            rows = view.row_ptr[:-1] + sig[k]
+            entries = _entries(view, rows)
+            own = topo_order(view.n_states, *entries[:2]) if order is None else order
             exact_sw = sum(
-                policy_values_exact(asym.float_view(EXACT), sigma, i, order=order)[start]
+                policy_values_exact(view, i, entries, view.rewards[rows, i], own)[start]
                 for i in range(asym.n_principals)
             )
             if exact_sw >= threshold:

@@ -6,12 +6,11 @@ per-state lists of action indices are its public form."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .linalg import policy_values_exact, policy_values_float
+from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
 from .model import AsymMdp
 from .numeric import DEFAULT_TIE_TOLERANCE, FLOAT, NumericMode
 
@@ -21,8 +20,6 @@ class ValueVector:
     """Optimal per-state values for one principal on a restricted model."""
 
     values: list
-    discount: Fraction
-    principal: int
 
     def __getitem__(self, s):
         return self.values[s]
@@ -95,11 +92,11 @@ def solve_discounted(
     if not 0 < lam < 1:
         raise ValueError("discount factor must lie in (0, 1)")
     if method == "pi":
-        return _policy_iteration(asym, view, principal, mask, mode)
+        return _policy_iteration(view, principal, mask, mode)
     if method == "vi":
         if mode.is_exact:
             raise ValueError("value iteration requires float mode (exact mode has tolerance 0)")
-        return _value_iteration_float(asym, view, principal, mask, mode, max_iterations)
+        return _value_iteration_float(view, principal, mask, mode, max_iterations)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -153,7 +150,7 @@ def _lowest_actions(view, hit):
     return np.minimum.reduceat(np.where(hit, view.local_action, view.n_rows), view.row_ptr[:-1])
 
 
-def _policy_iteration(asym, view, principal, mask, mode):
+def _policy_iteration(view, principal, mask, mode):
     """Policy iteration over the mode's row view.  A state switches to its
     best allowed action (the lowest index among ties) only when that
     improves its q-value by more than eps: 0 in exact mode, which keeps
@@ -162,25 +159,28 @@ def _policy_iteration(asym, view, principal, mask, mode):
     starts = view.row_ptr[:-1]
     sigma = _lowest_actions(view, mask)
     for _ in range(100_000):
+        rows = starts + sigma
+        entries = _entries(view, rows)
+        r = view.rewards[rows, principal]
         if mode.is_exact:
-            v = policy_values_exact(view, sigma, principal)
+            order = topo_order(view.n_states, *entries[:2])
+            v = policy_values_exact(view, principal, entries, r, order)
             eps = 0
         else:
-            v = policy_values_float(view, sigma, principal)
+            v = policy_values_float(view, principal, entries, r)
             eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
         q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
         best, masked = _masked_max(view, q, mask)
-        better = best > q[starts + sigma] + eps
+        better = best > q[rows] + eps
         if not np.count_nonzero(better):
-            vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
             return SolveResult(
-                values=vv, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
+                values=ValueVector(v), q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
             )
         sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
 
 
-def _value_iteration_float(asym, view, principal, mask, mode, max_iterations):
+def _value_iteration_float(view, principal, mask, mode, max_iterations):
     lam = float(view.discounts[principal])
     target = mode.tolerance * (1 - lam) / (2 * lam)
     if target <= 0:
@@ -201,5 +201,6 @@ def _value_iteration_float(asym, view, principal, mask, mode, max_iterations):
     # report v consistent with the final q table: v(s) = max_a q(s, a)
     v, masked = _masked_max(view, q, mask)
     sigma = _lowest_actions(view, masked == v[view.row_state])
-    vv = ValueVector(values=v, discount=asym.discounts[principal], principal=principal)
-    return SolveResult(values=vv, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())
+    return SolveResult(
+        values=ValueVector(v), q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
+    )

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
 from .model import AsymMdp
-from .numeric import DEFAULT_TIE_TOLERANCE, FLOAT, NumericMode
+from .numeric import FLOAT, NumericMode
 from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
 
@@ -41,7 +41,6 @@ class LongTermResult:
 def long_term(
     asym: AsymMdp,
     mode: NumericMode = FLOAT,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     method: str = "pi",
 ) -> LongTermResult:
     """Restrict the model level by level: solve for principal j, keep only
@@ -53,9 +52,7 @@ def long_term(
             asym, j, mode=mode, method=method, restriction=restriction
         )
         values.append(result.values)
-        restriction = optimal_action_set(
-            asym, result.q, result.values, tie_tolerance=tie_tolerance, mode=mode
-        )
+        restriction = optimal_action_set(asym, result.q, result.values, mode=mode)
     tail = [allowed[0] for allowed in restriction]
     return LongTermResult(restricted=restriction, values=values, tail=tail)
 
@@ -241,12 +238,10 @@ def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT
 class WelfareReport:
     """Per-start-state summary of the synthesized strategy."""
 
-    state: str
     per_principal: list
     social_welfare: object
     baseline: object
     deviation_gain: object
-    kappa: int
 
 
 @dataclass
@@ -299,12 +294,11 @@ def optimize(
     mode: NumericMode = FLOAT,
     slack=None,
     max_kappa: int = 10**7,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     method: str = "pi",
 ) -> OptimizeResult:
     """Synthesize the welfare-optimal counting strategy and its report."""
     t0 = time.perf_counter()
-    lt = long_term(asym, mode=mode, tie_tolerance=tie_tolerance, method=method)
+    lt = long_term(asym, mode=mode, method=method)
     t1 = time.perf_counter()
     adv = advantages(asym, lt, mode=mode)
     kappa = find_kappa(asym, adv, slack=slack, max_kappa=max_kappa, mode=mode)
@@ -319,12 +313,10 @@ def optimize(
         sw = payoffs.social_welfare[s]
         _check_decomposition(mode, sw, baseline, gain[s], name)
         reports[name] = WelfareReport(
-            state=name,
             per_principal=[v[s] for v in payoffs.per_principal],
             social_welfare=sw,
             baseline=baseline,
             deviation_gain=gain[s],
-            kappa=kappa,
         )
     return OptimizeResult(
         strategy=cs,

@@ -58,3 +58,24 @@ def doubled_self_loop():
             ("s1", "b", [("s1", 1)], 0),
         ],
     )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name, *modules) replaces `name` in each module by one
+    counting wrapper around the first module's function and returns the
+    list that collects one entry per call."""
+
+    def install(name, *modules):
+        calls = []
+        real = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

@@ -47,6 +47,28 @@ def test_optimize_exact_output(tmp_path, capsys):
     assert "127/9" in out
 
 
+@pytest.mark.parametrize(
+    "name, deviations, tail",
+    [
+        ("investment", ["0, s0 -> a", "1, s0 -> a"], "s0->b s1->b"),
+        (
+            "appendix_ex4",
+            ["0, s0 -> a", "0, s1 -> c", "0, s4 -> h"],
+            "s0->b s1->d s2->f s3->g s4->j s5->k s6->m",
+        ),
+    ],
+)
+def test_optimize_prints_prefix_deviations_and_tail(tmp_path, capsys, name, deviations, tail):
+    from mdpwf import builtin
+
+    path = tmp_path / "model.json"
+    path.write_text(dumps(builtin(name)))
+    assert main(["optimize", str(path), "--exact"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    k = lines.index("prefix deviations (step, state -> action):")
+    assert lines[k + 1:] == [f"  {d}" for d in deviations] + [f"tail: {tail}"]
+
+
 def test_optimize_json_and_strategy_file(tmp_path, capsys):
     path = _write_investment(tmp_path)
     strat = str(tmp_path / "strategy.json")

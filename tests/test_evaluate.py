@@ -22,6 +22,8 @@ from mdpwf import (
     optimize,
     random_mdp,
 )
+import mdpwf.evaluate
+import mdpwf.linalg
 from mdpwf.evaluate import counting_value_from
 from mdpwf.linalg import _entries, topo_order
 
@@ -390,3 +392,17 @@ def test_counting_by_runs_matches_stepwise(name, runs, mode):
     else:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("kind", ["positional", "mixed"])
+def test_one_assembly_per_strategy(count_calls, mode, kind):
+    asym = random_mdp(RandomMdpConfig(num_states=5, num_principals=3, seed=4))
+    assembled = count_calls("_entries", mdpwf.linalg, mdpwf.evaluate)
+    if kind == "positional":
+        res = eval_positional(asym, [1, 0, 1, 0, 1], mode)
+    else:
+        probs = [[Fraction(1, len(acts))] * len(acts) for acts in asym.mdp.actions]
+        res = eval_stationary_mixed(asym, MixedStationaryStrategy(probs), mode)
+    assert len(res.per_principal) == 3
+    assert len(assembled) == 1

@@ -214,6 +214,13 @@ def test_load_rejects_invalid_model():
     assert any("sum to" in v for v in err.value.violations)
 
 
+def test_load_rejects_model_without_states():
+    text = '{"states": [], "principals": [{"name": "A", "discount": "1/2"}], "actions": []}'
+    with pytest.raises(LoadError) as err:
+        loads(text)
+    assert "model has no states" in err.value.violations
+
+
 # -- spacing ------------------------------------------------------------------
 
 

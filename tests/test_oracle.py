@@ -21,6 +21,8 @@ from mdpwf import (
     sat_reduction,
     threshold_decide_positional,
 )
+import mdpwf.linalg
+import mdpwf.oracle
 from mdpwf.oracle import BLOCK, _full_graph_topo
 
 
@@ -255,3 +257,34 @@ def test_exact_oracles_agree_on_repeated_self_loops(doubled_self_loop):
     assert (best.best_social_welfare, best.best_strategy) == (Fraction(4, 3), [0, 0])
     dec = threshold_decide_positional(asym, 0, Fraction(4, 3), mode=EXACT)
     assert (dec.satisfied, dec.witness, dec.witness_social_welfare) == (True, [0, 0], Fraction(4, 3))
+
+
+def test_one_assembly_per_exact_confirmation(count_calls):
+    phi = CnfFormula(num_vars=3, clauses=[(1, -2, 3), (-1, -2, 3), (-1, 2, -3)])
+    asym, threshold, _ = sat_reduction(phi)
+    assembled = count_calls("_entries", mdpwf.linalg, mdpwf.oracle)
+    solves = count_calls("policy_values_exact", mdpwf.oracle)
+    assert threshold_decide_positional(asym, 0, threshold, mode=EXACT).satisfied
+    assert len(solves) == asym.n_principals * len(assembled)
+    assert len(assembled) >= 1
+
+
+def test_cyclic_union_graph_confirms_along_policy_order(count_calls):
+    """The union graph s0 <-> s1 is cyclic, but the first strategy plays
+    only self loops: its exact confirmation back-substitutes."""
+    asym = AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2)), ("B", Fraction(1, 3))],
+        actions=[
+            ("s0", "stay", [("s0", 1)], [1, 2]),
+            ("s0", "go", [("s1", 1)], [0, 1]),
+            ("s1", "stay", [("s1", 1)], [3, 1]),
+            ("s1", "go", [("s0", 1)], [1, 0]),
+        ],
+    )
+    assert _full_graph_topo(asym) is None
+    gauss = count_calls("exact_gauss", mdpwf.linalg)
+    dec = threshold_decide_positional(asym, 0, Fraction(5), mode=EXACT)
+    assert dec.witness == [0, 0]
+    assert dec.witness_social_welfare == Fraction(2) + Fraction(3)
+    assert gauss == []

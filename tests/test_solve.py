@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mdpwf.linalg
+import mdpwf.solve
 from mdpwf import (
     EXACT,
     FLOAT,
@@ -263,3 +265,14 @@ def test_edited_optimal_sets_are_honoured(investment, mode, method):
     assert res.strategy == [0, 0]
     with pytest.raises(KeyError):
         res.q.value(0, 1)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_one_assembly_per_policy_iteration_step(count_calls, mode):
+    asym = random_mdp(RandomMdpConfig(num_states=6, actions_per_state=3, seed=2))
+    assembled = count_calls("_entries", mdpwf.linalg, mdpwf.solve)
+    solver = "policy_values_exact" if mode.is_exact else "policy_values_float"
+    steps = count_calls(solver, mdpwf.solve)
+    solve_discounted(asym, 0, mode=mode)
+    assert len(steps) > 1  # the first policy is improved at least once
+    assert len(assembled) == len(steps)
