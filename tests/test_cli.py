@@ -87,6 +87,56 @@ def test_optimize_json_and_strategy_file(tmp_path, capsys):
         assert f.readline().startswith("state,Alice,Bob,social_welfare")
 
 
+def test_optimize_csv_and_strategy_file_bytes(tmp_path, capsys):
+    path = _write_investment(tmp_path)
+    strat = tmp_path / "strategy.json"
+    report = tmp_path / "report.csv"
+    assert main(["optimize", path, "--exact", "--out", str(strat), "--csv", str(report)]) == 0
+    assert report.read_bytes() == (
+        b"state,Alice,Bob,social_welfare,baseline,deviation_gain,kappa\r\n"
+        b"s0,89/9,38/9,127/9,13,10/9,2\r\n"
+        b"s1,18,9,27,27,0,2\r\n"
+    )
+    assert strat.read_text() == json.dumps(
+        {
+            "type": "counting",
+            "kappa": 2,
+            "prefix": [
+                {"step": 0, "state": "s0", "action": "a"},
+                {"step": 1, "state": "s0", "action": "a"},
+            ],
+            "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}],
+            "report": {
+                "per_principal": ["89/9", "38/9"],
+                "social_welfare": "127/9",
+                "baseline": "13",
+                "deviation_gain": "10/9",
+            },
+        },
+        indent=2,
+    ) + "\n"
+
+
+def test_validate_exact_rejects_row_sum_within_float_tolerance(tmp_path, capsys):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({
+        "states": ["s0"],
+        "principals": [{"name": "A", "discount": "1/2"}],
+        "actions": [{"state": "s0", "action": "a", "reward": [1], "transitions": [
+            {"to": "s0", "prob": "1/3"},
+            {"to": "s0", "prob": "1/3"},
+            {"to": "s0", "prob": "0.333333333333333"},
+        ]}],
+    }))
+    assert main(["validate", str(path), "--exact"]) == 1
+    assert capsys.readouterr().out == (
+        "violation: ('s0', 'a') probabilities sum to "
+        "2999999999999999/3000000000000000, not 1\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_optimize_start_filter(tmp_path, capsys):
     path = _write_investment(tmp_path)
     assert main(["optimize", path, "--exact", "--start", "s1", "--json"]) == 0
