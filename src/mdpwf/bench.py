@@ -76,12 +76,17 @@ def _run_spec(spec) -> BenchRow:
     return row
 
 
-def _run_all(specs, workers=None):
+def _study(cfgs, mode, workers, key, rejected=()):
+    """Optimize every config (in worker processes when there are several),
+    then sort its rows and the `rejected` ones by (`key` attribute, seed)."""
+    specs = [(cfg, mode) for cfg in cfgs]
     workers = worker_count() if workers is None else workers
     if workers <= 1 or len(specs) <= 1:
-        return [_run_spec(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_spec, specs))
+        rows = [_run_spec(s) for s in specs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_spec, specs))
+    return sorted([*rows, *rejected], key=lambda r: (getattr(r, key), r.seed))
 
 
 def run_rq1(
@@ -96,23 +101,18 @@ def run_rq1(
     """Scaling in the number of states on two-principal random instances."""
     if states is None:
         states = DEFAULT_RQ1_STATES
-    specs = [
-        (
-            RandomMdpConfig(
-                num_states=n,
-                actions_per_state=actions,
-                num_principals=principals,
-                discounts=list(discounts),
-                seed=seed,
-            ),
-            mode,
+    cfgs = [
+        RandomMdpConfig(
+            num_states=n,
+            actions_per_state=actions,
+            num_principals=principals,
+            discounts=list(discounts),
+            seed=seed,
         )
         for n in states
         for seed in seeds
     ]
-    rows = _run_all(specs, workers)
-    rows.sort(key=lambda r: (r.states, r.seed))
-    return rows
+    return _study(cfgs, mode, workers, "states")
 
 
 def run_rq2(
@@ -127,23 +127,18 @@ def run_rq2(
     progression from 0.99 down to 0.05."""
     if principals is None:
         principals = DEFAULT_RQ2_PRINCIPALS
-    specs = [
-        (
-            RandomMdpConfig(
-                num_states=states,
-                actions_per_state=actions,
-                num_principals=p,
-                discounts=None,
-                seed=seed,
-            ),
-            mode,
+    cfgs = [
+        RandomMdpConfig(
+            num_states=states,
+            actions_per_state=actions,
+            num_principals=p,
+            discounts=None,
+            seed=seed,
         )
         for p in principals
         for seed in seeds
     ]
-    rows = _run_all(specs, workers)
-    rows.sort(key=lambda r: (r.principals, r.seed))
-    return rows
+    return _study(cfgs, mode, workers, "principals")
 
 
 def run_rq3(
@@ -159,8 +154,7 @@ def run_rq3(
     if ratios is None:
         ratios = DEFAULT_RQ3_RATIOS
     lam0 = as_fraction(lam0)
-    rows = []
-    specs = []
+    cfgs = []
     rejected = []
     for ratio in ratios:
         for seed in seeds:
@@ -178,21 +172,16 @@ def run_rq3(
                     )
                 )
                 continue
-            specs.append(
-                (
-                    RandomMdpConfig(
-                        num_states=states,
-                        actions_per_state=actions,
-                        num_principals=2,
-                        discounts=[lam0, lam1],
-                        seed=seed,
-                    ),
-                    mode,
+            cfgs.append(
+                RandomMdpConfig(
+                    num_states=states,
+                    actions_per_state=actions,
+                    num_principals=2,
+                    discounts=[lam0, lam1],
+                    seed=seed,
                 )
             )
-    rows = _run_all(specs, workers) + rejected
-    rows.sort(key=lambda r: (r.discount_ratio, r.seed))
-    return rows
+    return _study(cfgs, mode, workers, "discount_ratio", rejected)
 
 
 _BENCH_FIELDS = [
@@ -218,12 +207,16 @@ def _fmt(x):
     return str(x)
 
 
-def rows_to_csv(rows, path):
+def write_csv(path, header, rows):
+    """Write a header line and the rows as CSV (csv module dialect, CRLF line ends)."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(_BENCH_FIELDS)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, fld)) for fld in _BENCH_FIELDS])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def rows_to_csv(rows, path):
+    write_csv(path, _BENCH_FIELDS, ([_fmt(getattr(r, f)) for f in _BENCH_FIELDS] for r in rows))
 
 
 # -- discount-grid sweep -----------------------------------------------------
@@ -317,19 +310,17 @@ _SWEEP_FIELDS = [
 
 
 def sweep_to_csv(cells, path):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_SWEEP_FIELDS)
-        for c in cells:
-            w.writerow(
-                [
-                    _fmt(float(c.alpha)),
-                    _fmt(float(c.beta)),
-                    c.status,
-                    _fmt(c.kappa),
-                    c.prefix_signature,
-                    c.tail_action,
-                    _fmt(c.social_welfare),
-                    c.error or "",
-                ]
-            )
+    rows = (
+        [
+            _fmt(float(c.alpha)),
+            _fmt(float(c.beta)),
+            c.status,
+            _fmt(c.kappa),
+            c.prefix_signature,
+            c.tail_action,
+            _fmt(c.social_welfare),
+            c.error or "",
+        ]
+        for c in cells
+    )
+    write_csv(path, _SWEEP_FIELDS, rows)

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from . import generators as gen_mod
-from .errors import MdpwfError
+from .errors import LoadError, MdpwfError
 from .evaluate import eval_counting, eval_positional, eval_stationary_mixed
 from .model import dumps as model_dumps
-from .model import load, loads, spacing_report, validate
+from .model import load, loads, spacing_report
 from .numeric import EXACT, FLOAT, NumericMode, as_fraction, format_fraction, number_for_json
 from .oracle import enumerate_counting, enumerate_positional, threshold_decide_positional
 from .solve import solve_discounted
@@ -36,10 +36,10 @@ def _fmt(x, mode: NumericMode) -> str:
     return str(x)
 
 
-def _read_model(path):
+def _read_model(path, mode: NumericMode = FLOAT):
     if path == "-":
-        return loads(sys.stdin.read())
-    return load(path)
+        return loads(sys.stdin.read(), mode)
+    return load(path, mode)
 
 
 def _emit(doc, args):
@@ -53,16 +53,9 @@ def _emit(doc, args):
 
 
 def cmd_validate(args):
-    from .errors import LoadError
-
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as f:
-            text = f.read()
     try:
-        asym = loads(text, validate_mode=_mode(args))
-        violations = list(validate(asym, _mode(args)).violations)
+        _read_model(args.file, _mode(args))
+        violations = []
     except LoadError as e:
         violations = list(e.violations)
     ok = not violations
@@ -132,13 +125,9 @@ def cmd_solve(args):
         for s, v, a in rows:
             print(f"{s:<{width}}  {_fmt(v, mode):>{vwidth}}  {a}")
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="", encoding="utf-8") as f:
-            w = _csv.writer(f)
-            w.writerow(["state", "value", "action"])
-            for s, v, a in rows:
-                w.writerow([s, _fmt(v, mode), a])
+        bench_mod.write_csv(
+            args.csv, ["state", "value", "action"], ([s, _fmt(v, mode), a] for s, v, a in rows)
+        )
     return 0
 
 
@@ -160,8 +149,7 @@ def cmd_optimize(args):
     for s in starts:
         if s not in result.reports:
             raise MdpwfError(f"unknown start state {s!r}")
-    cs = result.strategy
-    strategy = counting_to_doc(asym, cs)
+    strategy = counting_to_doc(asym, result.strategy)
     doc = {
         "kappa": result.kappa,
         "kappa_bound": result.kappa_bound.bound,
@@ -184,31 +172,17 @@ def cmd_optimize(args):
                 print(f"  {d['step']}, {d['state']} -> {d['action']}")
         print("tail: " + " ".join(f"{t['state']}->{t['action']}" for t in strategy["tail"]))
     if args.out:
-        report_state = starts[0]
-        from .strategies import save_strategy
-
-        save_strategy(
-            args.out, asym, cs, report=_report_doc(result.reports[report_state], mode)
-        )
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(json.dumps({**strategy, "report": doc["reports"][starts[0]]}, indent=2) + "\n")
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="", encoding="utf-8") as f:
-            w = _csv.writer(f)
-            names = [p.name for p in asym.principals]
-            w.writerow(["state"] + names + ["social_welfare", "baseline", "deviation_gain", "kappa"])
-            for s in starts:
-                rep = result.reports[s]
-                w.writerow(
-                    [s]
-                    + [_fmt(x, mode) for x in rep.per_principal]
-                    + [
-                        _fmt(rep.social_welfare, mode),
-                        _fmt(rep.baseline, mode),
-                        _fmt(rep.deviation_gain, mode),
-                        result.kappa,
-                    ]
-                )
+        rows = []
+        for s in starts:
+            rep = result.reports[s]
+            values = [*rep.per_principal, rep.social_welfare, rep.baseline, rep.deviation_gain]
+            rows.append([s, *(_fmt(x, mode) for x in values), result.kappa])
+        names = [p.name for p in asym.principals]
+        header = ["state", *names, "social_welfare", "baseline", "deviation_gain", "kappa"]
+        bench_mod.write_csv(args.csv, header, rows)
     return 0
 
 
@@ -406,11 +380,9 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, exact=True, jsonf=True):
-        if exact:
-            sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-        if jsonf:
-            sp.add_argument("--json", action="store_true", help="machine-readable output")
+    def common(sp):
+        sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("validate", help="check model invariants")
     sp.add_argument("file")
@@ -516,15 +488,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MdpwfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except KeyError as e:
-        # unknown state/action names surface as lookup errors
-        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (MdpwfError, KeyError, OSError, ValueError) as e:
+        # unknown state/action names surface as KeyErrors, whose str() adds quotes
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -380,6 +380,23 @@ def _check_fields(record, allowed, where):
             raise FormatError(f"unknown field {key!r}", location=where)
 
 
+_KIND_NAMES = {str: "string", list: "list"}
+
+
+def _field(rec, name, where, kind=None):
+    """rec[name], once rec is an object holding it (of type `kind` if given)."""
+    if not isinstance(rec, dict):
+        raise FormatError("expected an object", location=where)
+    if name not in rec:
+        raise FormatError(f"missing field {name!r}", location=where)
+    value = rec[name]
+    if kind is not None and not isinstance(value, kind):
+        raise FormatError(
+            f"field {name!r} must be a {_KIND_NAMES[kind]}, not {value!r}", location=where
+        )
+    return value
+
+
 def _parse_number(value, where):
     try:
         return as_fraction(value)
@@ -387,63 +404,52 @@ def _parse_number(value, where):
         raise FormatError(f"bad number {value!r}: {e}", location=where) from None
 
 
-def _check_name(value, field, where):
-    if not isinstance(value, str):
-        raise FormatError(f"{field} must be a string, not {value!r}", location=where)
+def _read_json(text):
+    """The JSON value of a model or strategy file; malformed JSON raises
+    FormatError naming its line."""
+    try:
+        # parse_float keeps the literal text so decimals stay exact
+        return json.loads(text, parse_float=str)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from None
 
 
 def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
     """Parse the JSON model format; validation failures raise LoadError."""
-    try:
-        # parse_float keeps the literal text so decimals stay exact
-        raw = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from None
-    if not isinstance(raw, dict):
-        raise FormatError("top-level value must be an object")
+    raw = _read_json(text)
     _check_fields(raw, _TOP_FIELDS, "top level")
-    for fld in ("states", "principals", "actions"):
-        if fld not in raw:
-            raise FormatError(f"missing field {fld!r}", location="top level")
-        if not isinstance(raw[fld], list):
-            raise FormatError(f"field {fld!r} must be a list", location="top level")
-    for k, name in enumerate(raw["states"]):
-        _check_name(name, "state name", f"states[{k}]")
+    states = _field(raw, "states", "top level", list)
+    principal_records = _field(raw, "principals", "top level", list)
+    action_records = _field(raw, "actions", "top level", list)
+    for k, name in enumerate(states):
+        if not isinstance(name, str):
+            raise FormatError(
+                f"state name must be a string, not {name!r}", location=f"states[{k}]"
+            )
     principals = []
-    for k, p in enumerate(raw["principals"]):
+    for k, p in enumerate(principal_records):
         where = f"principals[{k}]"
         _check_fields(p, _PRINCIPAL_FIELDS, where)
-        if "name" not in p or "discount" not in p:
-            raise FormatError("principal needs name and discount", location=where)
-        _check_name(p["name"], "name", where)
-        principals.append((p["name"], _parse_number(p["discount"], where)))
+        name = _field(p, "name", where, str)
+        principals.append((name, _parse_number(_field(p, "discount", where), where)))
     actions = []
-    for k, rec in enumerate(raw["actions"]):
+    for k, rec in enumerate(action_records):
         where = f"actions[{k}]"
         _check_fields(rec, _ACTION_FIELDS, where)
-        for fld in ("state", "action", "transitions"):
-            if fld not in rec:
-                raise FormatError(f"missing field {fld!r}", location=where)
-        for fld in ("state", "action"):
-            _check_name(rec[fld], fld, where)
+        state = _field(rec, "state", where, str)
+        action = _field(rec, "action", where, str)
         reward = rec.get("reward")
         if reward is not None:
-            if not isinstance(reward, list):
-                raise FormatError("reward must be a list", location=where)
-            reward = [_parse_number(x, where) for x in reward]
-        if not isinstance(rec["transitions"], list):
-            raise FormatError("transitions must be a list", location=where)
+            reward = [_parse_number(x, where) for x in _field(rec, "reward", where, list)]
         transitions = []
-        for j, tr in enumerate(rec["transitions"]):
+        for j, tr in enumerate(_field(rec, "transitions", where, list)):
             twhere = f"{where}.transitions[{j}]"
             _check_fields(tr, _TRANSITION_FIELDS, twhere)
-            if "to" not in tr or "prob" not in tr:
-                raise FormatError("transition needs to and prob", location=twhere)
-            _check_name(tr["to"], "to", twhere)
-            transitions.append((tr["to"], _parse_number(tr["prob"], twhere)))
-        actions.append((rec["state"], rec["action"], transitions, reward))
+            to = _field(tr, "to", twhere, str)
+            transitions.append((to, _parse_number(_field(tr, "prob", twhere), twhere)))
+        actions.append((state, action, transitions, reward))
     asym = AsymMdp.build(
-        states=raw["states"],
+        states=states,
         principals=principals,
         actions=actions,
         metadata=raw.get("metadata"),

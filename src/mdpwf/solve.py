@@ -168,7 +168,7 @@ def _policy_iteration(view, principal, mask, mode):
             eps = 0
         else:
             v = policy_values_float(view, principal, entries, r)
-            eps = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+            eps = 1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))
         q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
         best, masked = _masked_max(view, q, mask)
         better = best > q[rows] + eps
@@ -189,7 +189,7 @@ def _value_iteration_float(view, principal, mask, mode, max_iterations):
     for _ in range(max_iterations):
         q = _one_step_all_rows(view, principal, lam, v)
         v_new, _ = _masked_max(view, q, mask)
-        resid = float(np.max(np.abs(v_new - v)))
+        resid = float(np.max(np.abs(v_new - v), initial=0.0))
         v = v_new
         if resid < target:
             break

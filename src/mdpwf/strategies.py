@@ -6,12 +6,11 @@ state).  Mixed stationary and counting strategies get small dataclasses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DisabledActionError, FormatError
-from .model import AsymMdp, _check_fields, _parse_number
+from .model import AsymMdp, _check_fields, _field, _parse_number, _read_json
 from .numeric import format_fraction
 
 # One enabled action index per state.
@@ -109,16 +108,11 @@ class CountingStrategy:
 
 # -- strategy files -------------------------------------------------------
 
-
-def _field(rec, name, where, kind=None):
-    """rec[name], once rec is an object holding it (of type `kind` if given)."""
-    if not isinstance(rec, dict):
-        raise FormatError("expected an object", location=where)
-    if name not in rec:
-        raise FormatError(f"missing field {name!r}", location=where)
-    if kind is not None and not isinstance(rec[name], kind):
-        raise FormatError(f"field {name!r} must be a {kind.__name__}", location=where)
-    return rec[name]
+_TOP_FIELDS = {
+    "positional": {"type", "actions"},
+    "mixed": {"type", "distributions"},
+    "counting": {"type", "kappa", "prefix", "tail", "report"},
+}
 
 
 def _int_field(rec, name, where):
@@ -129,12 +123,22 @@ def _int_field(rec, name, where):
         raise FormatError(f"field {name!r} is not an integer: {value!r}", location=where) from None
 
 
-def _pairs_to_positional(asym, records, where):
-    mapping = {}
+def _by_state(records, where, name, kind=None):
+    """{state: (rec[name], location)} over records {state, name}; a state
+    listed twice is an error."""
+    by_state = {}
     for k, rec in enumerate(records):
         rwhere = f"{where}[{k}]"
-        _check_fields(rec, {"state", "action"}, rwhere)
-        mapping[_field(rec, "state", rwhere, str)] = _field(rec, "action", rwhere)
+        _check_fields(rec, {"state", name}, rwhere)
+        state = _field(rec, "state", rwhere, str)
+        if state in by_state:
+            raise FormatError(f"state {state!r} listed twice", location=rwhere)
+        by_state[state] = _field(rec, name, rwhere, kind), rwhere
+    return by_state
+
+
+def _pairs_to_positional(asym, records, where):
+    mapping = {s: a for s, (a, _) in _by_state(records, where, "action").items()}
     try:
         return positional_from_names(asym, mapping)
     except KeyError as e:
@@ -145,19 +149,16 @@ def parse_strategy(text: str, asym: AsymMdp):
     """Parse a strategy file; returns a positional list,
     MixedStationaryStrategy, or CountingStrategy depending on "type".
     Malformed input raises FormatError naming its location."""
-    try:
-        raw = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from None
-    kind = _field(raw, "type", "top level")
+    raw = _read_json(text)
+    kind = _field(raw, "type", "top level", str)
+    if kind not in _TOP_FIELDS:
+        raise FormatError(f"unknown strategy type {kind!r}", location="top level")
+    _check_fields(raw, _TOP_FIELDS[kind], "top level")
     if kind == "positional":
         return _pairs_to_positional(asym, _field(raw, "actions", "top level", list), "actions")
     if kind == "mixed":
-        by_state = {}
-        for k, rec in enumerate(_field(raw, "distributions", "top level", list)):
-            where = f"distributions[{k}]"
-            state = _field(rec, "state", where, str)
-            by_state[state] = (_field(rec, "choices", where, list), where)
+        records = _field(raw, "distributions", "top level", list)
+        by_state = _by_state(records, "distributions", "choices", list)
         probs = []
         for s, state in enumerate(asym.mdp.states):
             if state not in by_state:
@@ -166,6 +167,7 @@ def parse_strategy(text: str, asym: AsymMdp):
             dist = [Fraction(0)] * len(asym.mdp.actions[s])
             for j, choice in enumerate(choices):
                 cwhere = f"{where}.choices[{j}]"
+                _check_fields(choice, {"action", "prob"}, cwhere)
                 try:
                     a = asym.action_index(s, _field(choice, "action", cwhere))
                 except KeyError as e:
@@ -173,25 +175,24 @@ def parse_strategy(text: str, asym: AsymMdp):
                 dist[a] = _parse_number(_field(choice, "prob", cwhere), cwhere)
             probs.append(dist)
         return MixedStationaryStrategy(probs)
-    if kind == "counting":
-        kappa = _int_field(raw, "kappa", "top level")
-        if kappa < 0:
-            raise FormatError("kappa must be nonnegative", location="top level")
-        tail = _pairs_to_positional(asym, _field(raw, "tail", "top level", list), "tail")
-        prefix = [list(tail) for _ in range(kappa)]
-        records = _field(raw, "prefix", "top level", list) if "prefix" in raw else []
-        for k, rec in enumerate(records):
-            where = f"prefix[{k}]"
-            step = _int_field(rec, "step", where)
-            if not (0 <= step < kappa):
-                raise FormatError(f"prefix step {step} outside 0..kappa-1", location=where)
-            try:
-                s = asym.state_index(_field(rec, "state", where))
-                prefix[step][s] = asym.action_index(s, _field(rec, "action", where))
-            except KeyError as e:
-                raise FormatError(e.args[0], location=where) from None
-        return CountingStrategy(kappa=kappa, prefix=prefix, tail=tail)
-    raise FormatError(f"unknown strategy type {kind!r}", location="top level")
+    kappa = _int_field(raw, "kappa", "top level")
+    if kappa < 0:
+        raise FormatError("kappa must be nonnegative", location="top level")
+    tail = _pairs_to_positional(asym, _field(raw, "tail", "top level", list), "tail")
+    prefix = [list(tail) for _ in range(kappa)]
+    records = _field(raw, "prefix", "top level", list) if "prefix" in raw else []
+    for k, rec in enumerate(records):
+        where = f"prefix[{k}]"
+        _check_fields(rec, {"step", "state", "action"}, where)
+        step = _int_field(rec, "step", where)
+        if not (0 <= step < kappa):
+            raise FormatError(f"prefix step {step} outside 0..kappa-1", location=where)
+        try:
+            s = asym.state_index(_field(rec, "state", where))
+            prefix[step][s] = asym.action_index(s, _field(rec, "action", where))
+        except KeyError as e:
+            raise FormatError(e.args[0], location=where) from None
+    return CountingStrategy(kappa=kappa, prefix=prefix, tail=tail)
 
 
 def load_strategy(path, asym: AsymMdp):
@@ -199,7 +200,7 @@ def load_strategy(path, asym: AsymMdp):
         return parse_strategy(f.read(), asym)
 
 
-def counting_to_doc(asym: AsymMdp, cs: CountingStrategy, report=None) -> dict:
+def counting_to_doc(asym: AsymMdp, cs: CountingStrategy) -> dict:
     """JSON document for a counting strategy; prefix rows equal to the
     tail are omitted (they are implied)."""
     mdp = asym.mdp
@@ -210,7 +211,7 @@ def counting_to_doc(asym: AsymMdp, cs: CountingStrategy, report=None) -> dict:
                 prefix.append(
                     {"step": j, "state": mdp.states[s], "action": mdp.actions[s][a]}
                 )
-    doc = {
+    return {
         "type": "counting",
         "kappa": cs.kappa,
         "prefix": prefix,
@@ -219,11 +220,3 @@ def counting_to_doc(asym: AsymMdp, cs: CountingStrategy, report=None) -> dict:
             for s, a in enumerate(cs.tail)
         ],
     }
-    if report is not None:
-        doc["report"] = report
-    return doc
-
-
-def save_strategy(path, asym: AsymMdp, cs: CountingStrategy, report=None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(counting_to_doc(asym, cs, report), indent=2) + "\n")

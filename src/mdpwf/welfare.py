@@ -107,7 +107,7 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
     succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
     delta = view.rewards + view.discounts * succ - v[view.row_state]
     if not mode.is_exact:
-        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.abs(v).max()))] = 0.0
+        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.abs(v).max(initial=0.0)))] = 0.0
     first = (delta != 0).argmax(axis=1)
     leading = delta[view.row_index, first]  # 0 on all-zero rows
     lead = first - (leading == 0)

@@ -189,6 +189,42 @@ def test_eval_positional_and_mixed_files(tmp_path, capsys):
              "tail": [{"state": "s0", "action": "a"}, {"state": "s1", "action": "b"}]},
             "at prefix[0]",
         ),
+        (
+            {"type": "counting", "kappa": 1,
+             "prefx": [{"step": 0, "state": "s0", "action": "a"}],
+             "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
+            "unknown field 'prefx' (at top level)",
+        ),
+        ({"type": "positional", "actions": [], "tail": []}, "unknown field 'tail' (at top level)"),
+        (
+            {"type": "counting", "kappa": 1,
+             "prefix": [{"step": 0, "state": "s0", "action": "a", "note": 1}],
+             "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
+            "unknown field 'note' (at prefix[0])",
+        ),
+        (
+            {"type": "mixed", "distributions": [
+                {"state": "s0", "choices": [{"action": "a", "prob": 1, "weight": 2}]},
+                {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
+            ]},
+            "unknown field 'weight' (at distributions[0].choices[0])",
+        ),
+        (
+            {"type": "positional", "actions": [
+                {"state": "s0", "action": "a"},
+                {"state": "s1", "action": "b"},
+                {"state": "s0", "action": "b"},
+            ]},
+            "state 's0' listed twice (at actions[2])",
+        ),
+        (
+            {"type": "mixed", "distributions": [
+                {"state": "s0", "choices": [{"action": "a", "prob": 1}]},
+                {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
+                {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
+            ]},
+            "state 's1' listed twice (at distributions[2])",
+        ),
     ],
 )
 def test_eval_malformed_strategy_names_location(tmp_path, capsys, doc, location):

@@ -283,6 +283,20 @@ def test_advantage_views_hold_python_numbers(investment, mode):
         assert type(rep.deviation_gain) is number and rep.deviation_gain == 0
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_optimize_model_without_states(mode):
+    empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
+    res = optimize(empty, mode=mode)
+    assert res.kappa == 0
+    assert res.reports == {}
+
+
+def test_value_iteration_model_without_states():
+    empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
+    res = solve_discounted(empty, 0, mode=FLOAT, method="vi")
+    assert len(res.values.values) == 0 and res.strategy == []
+
+
 def test_optimize_investment_exact(investment):
     res = optimize(investment, mode=EXACT)
     assert res.kappa == 2
