@@ -284,17 +284,13 @@ def test_advantage_views_hold_python_numbers(investment, mode):
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_optimize_model_without_states(mode):
+def test_model_without_states(mode):
     empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
     res = optimize(empty, mode=mode)
     assert res.kappa == 0
     assert res.reports == {}
-
-
-def test_value_iteration_model_without_states():
-    empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
-    res = solve_discounted(empty, 0, mode=FLOAT, method="vi")
-    assert len(res.values.values) == 0 and res.strategy == []
+    vi = solve_discounted(empty, 0, mode=FLOAT, method="vi")
+    assert len(vi.values.values) == 0 and vi.strategy == []
 
 
 def test_optimize_investment_exact(investment):
