@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import MdpwfError
@@ -184,21 +184,6 @@ def run_rq3(
     return _study(cfgs, mode, workers, "discount_ratio", rejected)
 
 
-_BENCH_FIELDS = [
-    "states",
-    "actions",
-    "principals",
-    "discount_ratio",
-    "seed",
-    "kappa",
-    "social_welfare",
-    "wall_time_total",
-    "wall_time_longterm",
-    "wall_time_unroll",
-    "error",
-]
-
-
 def _fmt(x):
     if x is None:
         return ""
@@ -216,7 +201,8 @@ def write_csv(path, header, rows):
 
 
 def rows_to_csv(rows, path):
-    write_csv(path, _BENCH_FIELDS, ([_fmt(getattr(r, f)) for f in _BENCH_FIELDS] for r in rows))
+    header = [f.name for f in fields(BenchRow)]
+    write_csv(path, header, ([_fmt(getattr(r, f)) for f in header] for r in rows))
 
 
 # -- discount-grid sweep -----------------------------------------------------
@@ -241,7 +227,6 @@ def sweep_discounts(
     betas,
     start: int = 0,
     mode: NumericMode = FLOAT,
-    slack=None,
     max_kappa: int = 10**5,
 ):
     """Optimize the template under every (alpha, beta) grid cell with
@@ -258,7 +243,7 @@ def sweep_discounts(
                 continue
             asym = template.with_discounts([a, b])
             try:
-                res = optimize(asym, mode=mode, slack=slack, max_kappa=max_kappa)
+                res = optimize(asym, mode=mode, max_kappa=max_kappa)
             except MdpwfError as e:
                 cells.append(SweepCell(alpha=a, beta=b, status="error", error=str(e)))
                 continue

@@ -36,7 +36,7 @@ def _fmt(x, mode: NumericMode) -> str:
     return str(x)
 
 
-def _read_model(path, mode: NumericMode = FLOAT):
+def _read_model(path, mode: NumericMode):
     if path == "-":
         return loads(sys.stdin.read(), mode)
     return load(path, mode)
@@ -70,9 +70,9 @@ def cmd_validate(args):
 
 
 def cmd_spacing(args):
-    asym = _read_model(args.file)
-    report = spacing_report(asym, as_fraction(args.bound))
     mode = _mode(args)
+    asym = _read_model(args.file, mode)
+    report = spacing_report(asym, as_fraction(args.bound))
     doc = {
         "bound": number_for_json(report.bound, mode),
         "all_spaced": report.all_spaced,
@@ -93,8 +93,8 @@ def cmd_spacing(args):
 
 
 def cmd_solve(args):
-    asym = _read_model(args.file)
     mode = _mode(args)
+    asym = _read_model(args.file, mode)
     if not (0 <= args.principal < asym.n_principals):
         raise MdpwfError(
             f"principal index {args.principal} out of range (model has "
@@ -141,8 +141,8 @@ def _report_doc(rep, mode):
 
 
 def cmd_optimize(args):
-    asym = _read_model(args.file)
     mode = _mode(args)
+    asym = _read_model(args.file, mode)
     slack = as_fraction(args.slack) if args.slack is not None else None
     result = optimize(asym, mode=mode, slack=slack, max_kappa=args.max_kappa)
     starts = [args.start] if args.start else list(asym.mdp.states)
@@ -187,8 +187,8 @@ def cmd_optimize(args):
 
 
 def cmd_eval(args):
-    asym = _read_model(args.file)
     mode = _mode(args)
+    asym = _read_model(args.file, mode)
     strategy = load_strategy(args.strategy, asym)
     if isinstance(strategy, CountingStrategy):
         res = eval_counting(asym, strategy, mode)
@@ -221,8 +221,9 @@ def cmd_eval(args):
 
 
 def cmd_oracle(args):
-    asym = _read_model(args.file)
-    mode = _mode(args)
+    # a bundled threshold is decided exactly, so the model is read exactly too
+    mode = EXACT if args.threshold == "auto" else _mode(args)
+    asym = _read_model(args.file, mode)
     start = asym.state_index(args.start) if args.start else 0
     if args.threshold is not None:
         if args.threshold == "auto":
@@ -232,10 +233,7 @@ def cmd_oracle(args):
             threshold = as_fraction(raw)
         else:
             threshold = as_fraction(args.threshold)
-        decision = threshold_decide_positional(
-            asym, start, threshold, mode=EXACT if args.exact or args.threshold == "auto" else mode,
-            cap=args.cap,
-        )
+        decision = threshold_decide_positional(asym, start, threshold, mode=mode, cap=args.cap)
         doc = {
             "decision": decision.satisfied,
             "threshold": number_for_json(threshold, EXACT),
@@ -355,7 +353,7 @@ def _grid(text):
 
 
 def cmd_sweep(args):
-    asym = _read_model(args.file)
+    asym = _read_model(args.file, _mode(args))
     start = asym.state_index(args.start) if args.start else 0
     cells = bench_mod.sweep_discounts(
         asym,

@@ -54,7 +54,7 @@ def eval_stationary_mixed(
 ) -> EvalResult:
     """Payoffs of a per-state action distribution: the policy system of the
     view's rows, each weighted by its action's probability."""
-    strategy.check(asym, tolerance=0.0 if mode.is_exact else 1e-12)
+    strategy.check(asym, mode)
     view = asym.float_view(mode)
     weight = np.array([w for dist in strategy.probs for w in dist], dtype=view.dtype)
     rows = np.flatnonzero(weight)

@@ -221,9 +221,6 @@ class ValidationResult:
     def ok(self):
         return not self.violations
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:
     """Check every model invariant; violations are data, not exceptions."""

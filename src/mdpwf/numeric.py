@@ -13,12 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
-# Probability rows must sum to 1 within this bound in float mode.
-ROW_SUM_TOL = 1e-12
-
-DEFAULT_TOLERANCE = 1e-9
-DEFAULT_TIE_TOLERANCE = 1e-9
-DEFAULT_FLOAT_SLACK = 1e-12
+# Float mode's tolerances, all of them; exact mode compares exactly and reads
+# none.  A bound marked "rel x" is scaled by max(1, x) where it is used.
+TIE_TOL = 1e-9  # optimal_action_set keeps q(s, a) >= v(s) - TIE_TOL
+PI_IMPROVEMENT_TOL = 1e-12  # policy iteration switches on a gain above this, rel max|v|
+ADVANTAGE_ZERO_TOL = 1e-7  # advantages clamps |delta| up to this to 0, rel max|V|
+DECOMPOSITION_TOL = 1e-6  # optimize checks SW = baseline + gain within this, rel |SW|
+KAPPA_SLACK = 1e-12  # find_kappa's default slack: every prefix sum <= this
+ROW_SUM_TOL = 1e-12  # probability rows and action distributions sum to 1 within this
+PRESCREEN_TOL = 1e-9  # threshold oracle passes float welfare this far short, rel |threshold|
+VI_TOL = 1e-9  # value iteration stops at a residual below VI_TOL (1 - lam) / (2 lam)
 
 
 @dataclass(frozen=True)
@@ -26,15 +30,10 @@ class NumericMode:
     """Arithmetic regime for a run: exact rationals or binary64."""
 
     kind: str  # "exact" | "float"
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
             raise ValueError(f"unknown numeric mode {self.kind!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.kind == "exact" and self.tolerance != 0:
-            raise ValueError("exact mode requires tolerance 0")
 
     @property
     def is_exact(self):
@@ -47,11 +46,11 @@ class NumericMode:
 
     @property
     def default_slack(self):
-        return Fraction(0) if self.is_exact else DEFAULT_FLOAT_SLACK
+        return Fraction(0) if self.is_exact else KAPPA_SLACK
 
 
-EXACT = NumericMode("exact", 0.0)
-FLOAT = NumericMode("float", DEFAULT_TOLERANCE)
+EXACT = NumericMode("exact")
+FLOAT = NumericMode("float")
 
 
 def as_fraction(value) -> Fraction:

@@ -13,7 +13,7 @@ from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
 from .linalg import _entries, policy_values_exact, topo_order
 from .model import AsymMdp
-from .numeric import EXACT, FLOAT, NumericMode
+from .numeric import EXACT, FLOAT, PRESCREEN_TOL, NumericMode
 from .strategies import CountingStrategy
 
 DEFAULT_CAP = 10**6
@@ -132,17 +132,18 @@ def threshold_decide_positional(
     """Does some pure positional strategy reach social welfare >= threshold?
 
     Scans the strategy space in rank order with a float prescreen that
-    passes welfare down to 1e-9 * max(1, |threshold|) below the threshold.
-    Exact mode confirms candidates in rational arithmetic, in rank order, so
-    the witness is the first strategy reaching the threshold exactly; float
-    mode returns the first candidate, which may fall short by that margin.
+    passes welfare down to PRESCREEN_TOL * max(1, |threshold|) below the
+    threshold.  Exact mode confirms candidates in rational arithmetic, in
+    rank order, so the witness is the first strategy reaching the threshold
+    exactly; float mode returns the first candidate, which may fall short
+    by that margin.
     A confirmation back-substitutes along the union graph's order, or along
     the policy's own when the union graph is cyclic (`exact_gauss` only
     when the policy's graph is cyclic too).
     """
     order = _full_graph_topo(asym)
     thr_f = float(threshold)
-    margin = 1e-9 * max(1.0, abs(thr_f))
+    margin = PRESCREEN_TOL * max(1.0, abs(thr_f))
     for sig, sw in _scored_blocks(asym, start, FLOAT, order, cap):
         for k in np.flatnonzero(~(sw < thr_f - margin)):
             sigma = sig[k].tolist()

@@ -12,7 +12,9 @@ import numpy as np
 from .errors import ConvergenceError
 from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
 from .model import AsymMdp
-from .numeric import DEFAULT_TIE_TOLERANCE, FLOAT, NumericMode
+from .numeric import FLOAT, PI_IMPROVEMENT_TOL, TIE_TOL, VI_TOL, NumericMode
+
+VI_MAX_SWEEPS = 1_000_000
 
 
 @dataclass
@@ -75,7 +77,6 @@ def solve_discounted(
     mode: NumericMode = FLOAT,
     method: str = "pi",
     restriction=None,
-    max_iterations: int = 1_000_000,
 ) -> SolveResult:
     """Optimal discounted values for one principal.
 
@@ -84,7 +85,7 @@ def solve_discounted(
     go to the lowest allowed index.  `method` is "pi" (policy iteration
     with exact per-policy solves) or "vi" (value iteration, float mode
     only, stopping when the sup-norm residual drops below
-    tolerance * (1 - lam) / (2 lam)).
+    VI_TOL * (1 - lam) / (2 lam)), at most VI_MAX_SWEEPS sweeps.
     """
     view = asym.float_view(mode)
     mask = _row_mask(asym, view, restriction)
@@ -96,7 +97,7 @@ def solve_discounted(
     if method == "vi":
         if mode.is_exact:
             raise ValueError("value iteration requires float mode (exact mode has tolerance 0)")
-        return _value_iteration_float(view, principal, mask, mode, max_iterations)
+        return _value_iteration_float(view, principal, mask)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -104,16 +105,15 @@ def optimal_action_set(
     asym: AsymMdp,
     q: QTable,
     v: ValueVector,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     mode: NumericMode = FLOAT,
 ):
     """Per-state allowed actions whose q-value ties the optimum: exact mode
-    keeps q(s, a) == v(s), float mode q(s, a) >= v(s) - tie_tolerance.  A
+    keeps q(s, a) == v(s), float mode q(s, a) >= v(s) - TIE_TOL.  A
     state left empty raises ConvergenceError naming its shortfall
     v(s) - max allowed q(s, a) and the tolerance."""
     view = asym.float_view(mode)
     vs = np.asarray(v.values, dtype=view.dtype)[view.row_state]
-    hit = q.q == vs if mode.is_exact else q.q >= vs - tie_tolerance
+    hit = q.q == vs if mode.is_exact else q.q >= vs - TIE_TOL
     hit &= q.allowed
     sets = [[] for _ in range(view.n_states)]
     for s, a in zip(view.row_state[hit].tolist(), view.local_action[hit].tolist()):
@@ -124,7 +124,7 @@ def optimal_action_set(
         raise ConvergenceError(
             f"empty optimal action set at state {asym.mdp.states[s]!r}: "
             f"v(s) - max allowed q(s, a) = {v.values[s] - best.item(s)} against tie "
-            f"tolerance {0 if mode.is_exact else tie_tolerance}; solver tolerance too tight"
+            f"tolerance {0 if mode.is_exact else TIE_TOL}; solver tolerance too tight"
         )
     return sets
 
@@ -154,7 +154,7 @@ def _policy_iteration(view, principal, mask, mode):
     """Policy iteration over the mode's row view.  A state switches to its
     best allowed action (the lowest index among ties) only when that
     improves its q-value by more than eps: 0 in exact mode, which keeps
-    the iteration acyclic, and 1e-12 * max(1, max|v|) in float mode."""
+    the iteration acyclic, and PI_IMPROVEMENT_TOL * max(1, max|v|) in float mode."""
     lam = view.discounts[principal]
     starts = view.row_ptr[:-1]
     sigma = _lowest_actions(view, mask)
@@ -168,7 +168,7 @@ def _policy_iteration(view, principal, mask, mode):
             eps = 0
         else:
             v = policy_values_float(view, principal, entries, r)
-            eps = 1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))
+            eps = PI_IMPROVEMENT_TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
         q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
         best, masked = _masked_max(view, q, mask)
         better = best > q[rows] + eps
@@ -180,13 +180,11 @@ def _policy_iteration(view, principal, mask, mode):
     raise ConvergenceError("policy iteration failed to stabilise")
 
 
-def _value_iteration_float(view, principal, mask, mode, max_iterations):
+def _value_iteration_float(view, principal, mask):
     lam = float(view.discounts[principal])
-    target = mode.tolerance * (1 - lam) / (2 * lam)
-    if target <= 0:
-        raise ValueError("value iteration needs a positive tolerance")
+    target = VI_TOL * (1 - lam) / (2 * lam)
     v = np.zeros(view.n_states)
-    for _ in range(max_iterations):
+    for _ in range(VI_MAX_SWEEPS):
         q = _one_step_all_rows(view, principal, lam, v)
         v_new, _ = _masked_max(view, q, mask)
         resid = float(np.max(np.abs(v_new - v), initial=0.0))
@@ -195,7 +193,7 @@ def _value_iteration_float(view, principal, mask, mode, max_iterations):
             break
     else:
         raise ConvergenceError(
-            f"value iteration did not converge within {max_iterations} sweeps"
+            f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps"
         )
     q = _one_step_all_rows(view, principal, lam, v)
     # report v consistent with the final q table: v(s) = max_a q(s, a)

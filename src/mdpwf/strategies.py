@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DisabledActionError, FormatError
 from .model import AsymMdp, _check_fields, _field, _parse_number, _read_json
-from .numeric import format_fraction
+from .numeric import ROW_SUM_TOL, NumericMode, format_fraction
 
 # One enabled action index per state.
 Positional = "list[int]"
@@ -49,7 +49,8 @@ class MixedStationaryStrategy:
 
     probs: list[list[Fraction]]  # aligned with mdp.actions[s]
 
-    def check(self, asym: AsymMdp, tolerance: float = 0.0) -> None:
+    def check(self, asym: AsymMdp, mode: NumericMode) -> None:
+        """Arity, signs and sums: exactly 1 in exact mode, within ROW_SUM_TOL in float mode."""
         if len(self.probs) != asym.n_states:
             raise DisabledActionError("distribution list does not match state count")
         for s, dist in enumerate(self.probs):
@@ -62,10 +63,7 @@ class MixedStationaryStrategy:
                     f"negative probability at state {asym.mdp.states[s]!r}"
                 )
             total = sum(dist)
-            if tolerance == 0.0:
-                ok = total == 1
-            else:
-                ok = abs(float(total) - 1.0) <= tolerance
+            ok = total == 1 if mode.is_exact else abs(float(total) - 1.0) <= ROW_SUM_TOL
             if not ok:
                 raise DisabledActionError(
                     f"probabilities at state {asym.mdp.states[s]!r} sum to "
@@ -123,22 +121,27 @@ def _int_field(rec, name, where):
         raise FormatError(f"field {name!r} is not an integer: {value!r}", location=where) from None
 
 
-def _by_state(records, where, name, kind=None):
-    """{state: (rec[name], location)} over records {state, name}; a state
-    listed twice is an error."""
+def _by_state(asym, records, where, name, kind=None):
+    """{state index: (rec[name], location)} over records {state, name}; a
+    state the model lacks or one listed twice is an error at its record."""
     by_state = {}
     for k, rec in enumerate(records):
         rwhere = f"{where}[{k}]"
         _check_fields(rec, {"state", name}, rwhere)
         state = _field(rec, "state", rwhere, str)
-        if state in by_state:
+        try:
+            s = asym.state_index(state)
+        except KeyError as e:
+            raise FormatError(e.args[0], location=rwhere) from None
+        if s in by_state:
             raise FormatError(f"state {state!r} listed twice", location=rwhere)
-        by_state[state] = _field(rec, name, rwhere, kind), rwhere
+        by_state[s] = _field(rec, name, rwhere, kind), rwhere
     return by_state
 
 
 def _pairs_to_positional(asym, records, where):
-    mapping = {s: a for s, (a, _) in _by_state(records, where, "action").items()}
+    by_state = _by_state(asym, records, where, "action")
+    mapping = {asym.mdp.states[s]: a for s, (a, _) in by_state.items()}
     try:
         return positional_from_names(asym, mapping)
     except KeyError as e:
@@ -158,12 +161,12 @@ def parse_strategy(text: str, asym: AsymMdp):
         return _pairs_to_positional(asym, _field(raw, "actions", "top level", list), "actions")
     if kind == "mixed":
         records = _field(raw, "distributions", "top level", list)
-        by_state = _by_state(records, "distributions", "choices", list)
+        by_state = _by_state(asym, records, "distributions", "choices", list)
         probs = []
         for s, state in enumerate(asym.mdp.states):
-            if state not in by_state:
+            if s not in by_state:
                 raise FormatError(f"mixed strategy does not cover state {state!r}")
-            choices, where = by_state[state]
+            choices, where = by_state[s]
             dist = [Fraction(0)] * len(asym.mdp.actions[s])
             for j, choice in enumerate(choices):
                 cwhere = f"{where}.choices[{j}]"
@@ -181,6 +184,7 @@ def parse_strategy(text: str, asym: AsymMdp):
     tail = _pairs_to_positional(asym, _field(raw, "tail", "top level", list), "tail")
     prefix = [list(tail) for _ in range(kappa)]
     records = _field(raw, "prefix", "top level", list) if "prefix" in raw else []
+    given = set()
     for k, rec in enumerate(records):
         where = f"prefix[{k}]"
         _check_fields(rec, {"step", "state", "action"}, where)
@@ -192,6 +196,11 @@ def parse_strategy(text: str, asym: AsymMdp):
             prefix[step][s] = asym.action_index(s, _field(rec, "action", where))
         except KeyError as e:
             raise FormatError(e.args[0], location=where) from None
+        if (step, s) in given:
+            raise FormatError(
+                f"prefix step {step} at state {asym.mdp.states[s]!r} listed twice", location=where
+            )
+        given.add((step, s))
     return CountingStrategy(kappa=kappa, prefix=prefix, tail=tail)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
 from .model import AsymMdp
-from .numeric import FLOAT, NumericMode
+from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode
 from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
 
@@ -99,15 +99,17 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
 
     Computes the whole n_rows x n_principals table from the mode's row
     view as r + lam * (P @ V) - V[state] (successor sums by segment).
-    Float mode clamps entries within 1e-7 * max(1, max|V|) of zero.  Then
-    certifies that retained rows are zero and that no removed row leads
-    with a positive entry; the message names the first failing row."""
+    Float mode clamps entries within ADVANTAGE_ZERO_TOL * max(1, max|V|)
+    of zero.  Then certifies that retained rows are zero and that no
+    removed row leads with a positive entry; the message names the first
+    failing row."""
     view = asym.float_view(mode)
     v = np.array([vec.values for vec in lt.values], dtype=view.dtype).T
     succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
     delta = view.rewards + view.discounts * succ - v[view.row_state]
     if not mode.is_exact:
-        delta[np.abs(delta) <= 1e-7 * max(1.0, float(np.abs(v).max(initial=0.0)))] = 0.0
+        scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+        delta[np.abs(delta) <= ADVANTAGE_ZERO_TOL * scale] = 0.0
     first = (delta != 0).argmax(axis=1)
     leading = delta[view.row_index, first]  # 0 on all-zero rows
     lead = first - (leading == 0)
@@ -342,7 +344,7 @@ def _check_decomposition(mode, sw, baseline, gain, state):
             )
     else:
         scale = max(1.0, abs(float(sw)))
-        if abs(float(sw) - float(baseline) - float(gain)) > 1e-6 * scale:
+        if abs(float(sw) - float(baseline) - float(gain)) > DECOMPOSITION_TOL * scale:
             raise CertificationError(
                 f"welfare decomposition failed at state {state!r}: "
                 f"{float(sw)} vs {float(baseline)} + {float(gain)}"

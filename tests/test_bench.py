@@ -79,7 +79,10 @@ def test_bench_csv_output(tmp_path):
     rows_to_csv(rows, path)
     with open(path, newline="") as f:
         data = list(csv.reader(f))
-    assert data[0][:3] == ["states", "actions", "principals"]
+    assert data[0] == [
+        "states", "actions", "principals", "discount_ratio", "seed", "kappa", "social_welfare",
+        "wall_time_total", "wall_time_longterm", "wall_time_unroll", "error",
+    ]
     assert len(data) == 2
 
 

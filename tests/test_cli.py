@@ -117,7 +117,10 @@ def test_optimize_csv_and_strategy_file_bytes(tmp_path, capsys):
     ) + "\n"
 
 
-def test_validate_exact_rejects_row_sum_within_float_tolerance(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command", ["validate", "optimize", "solve", "eval", "oracle", "oracle-auto"]
+)
+def test_validate_exact_rejects_row_sum_within_float_tolerance(tmp_path, capsys, command):
     path = tmp_path / "near.json"
     path.write_text(json.dumps({
         "states": ["s0"],
@@ -127,14 +130,31 @@ def test_validate_exact_rejects_row_sum_within_float_tolerance(tmp_path, capsys)
             {"to": "s0", "prob": "1/3"},
             {"to": "s0", "prob": "0.333333333333333"},
         ]}],
+        "metadata": {"threshold": "2"},
     }))
-    assert main(["validate", str(path), "--exact"]) == 1
-    assert capsys.readouterr().out == (
-        "violation: ('s0', 'a') probabilities sum to "
-        "2999999999999999/3000000000000000, not 1\n"
-    )
-    assert main(["validate", str(path)]) == 0
-    assert capsys.readouterr().out == "ok\n"
+    strat = tmp_path / "pos.json"
+    strat.write_text(json.dumps({"type": "positional", "actions": [{"state": "s0", "action": "a"}]}))
+    argv = {
+        "validate": ["validate", str(path)],
+        "optimize": ["optimize", str(path)],
+        "solve": ["solve", str(path), "--principal", "0"],
+        "eval": ["eval", str(path), "--strategy", str(strat)],
+        "oracle": ["oracle", str(path), "--threshold", "1"],
+        # a bundled threshold is decided exactly, with or without --exact
+        "oracle-auto": ["oracle", str(path), "--threshold", "auto"],
+    }[command]
+    assert main(argv + ["--exact"]) == 1
+    captured = capsys.readouterr()
+    if command == "validate":
+        assert captured.out == (
+            "violation: ('s0', 'a') probabilities sum to "
+            "2999999999999999/3000000000000000, not 1\n"
+        )
+    else:
+        assert "2999999999999999/3000000000000000, not 1" in captured.err
+    assert main(argv) == (1 if command == "oracle-auto" else 0)
+    if command == "validate":
+        assert capsys.readouterr().out == "ok\n"
 
 
 def test_optimize_start_filter(tmp_path, capsys):
@@ -224,6 +244,37 @@ def test_eval_positional_and_mixed_files(tmp_path, capsys):
                 {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
             ]},
             "state 's1' listed twice (at distributions[2])",
+        ),
+        (
+            {"type": "positional", "actions": [
+                {"state": "s0", "action": "a"},
+                {"state": "s1", "action": "b"},
+                {"state": "s9", "action": "zz"},
+            ]},
+            "unknown state 's9' (at actions[2])",
+        ),
+        (
+            {"type": "mixed", "distributions": [
+                {"state": "s0", "choices": [{"action": "a", "prob": 1}]},
+                {"state": "s1", "choices": [{"action": "b", "prob": 1}]},
+                {"state": "s9", "choices": [{"action": "zz", "prob": 1}]},
+            ]},
+            "unknown state 's9' (at distributions[2])",
+        ),
+        (
+            {"type": "counting", "kappa": 0, "tail": [
+                {"state": "s0", "action": "a"},
+                {"state": "s9", "action": "zz"},
+                {"state": "s1", "action": "b"},
+            ]},
+            "unknown state 's9' (at tail[1])",
+        ),
+        (
+            {"type": "counting", "kappa": 1,
+             "prefix": [{"step": 0, "state": "s0", "action": "a"},
+                        {"step": 0, "state": "s0", "action": "b"}],
+             "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
+            "prefix step 0 at state 's0' listed twice (at prefix[1])",
         ),
     ],
 )

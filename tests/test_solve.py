@@ -17,6 +17,7 @@ from mdpwf import (
     random_mdp,
     solve_discounted,
 )
+from mdpwf.numeric import VI_TOL
 
 
 def test_alice_optimal_values(investment):
@@ -68,7 +69,7 @@ def test_float_tie_tolerance_keeps_near_ties():
         ],
     )
     res = solve_discounted(asym, 0, mode=FLOAT)
-    sets = optimal_action_set(asym, res.q, res.values, tie_tolerance=1e-9, mode=FLOAT)
+    sets = optimal_action_set(asym, res.q, res.values, mode=FLOAT)
     assert sets[0] == [0, 1]
 
 
@@ -120,7 +121,7 @@ def test_pi_vi_agree_on_seeded_instances():
             )
             worst = max(worst, gap)
             assert _bellman_residual(asym, pi) < 1e-8
-    assert worst < 2 * FLOAT.tolerance
+    assert worst < 2 * VI_TOL
 
 
 def test_returned_strategy_evaluates_to_values():
