@@ -457,7 +457,10 @@ def small_formula_representatives(max_vars: int = 3, max_clauses: int = 3):
     3-CNF (distinct clauses) up to variable renaming and polarity flips.
 
     Renaming and flipping are isomorphisms of the reduction model, so a
-    property checked on representatives covers the whole family.
+    property checked on representatives covers the whole family.  Clause
+    combinations are visited in lexicographic order, so the first one met
+    of each orbit is its least member, the representative; its whole orbit
+    is then marked seen and skipped.
     """
     reps = []
     for n in range(1, max_vars + 1):
@@ -479,12 +482,10 @@ def small_formula_representatives(max_vars: int = 3, max_clauses: int = 3):
                 )
             images.append(img)
         for k in range(1, max_clauses + 1):
+            seen = set()
             for combo in itertools.combinations(range(len(clauses)), k):
-                canon = min(
-                    tuple(sorted(img[c] for c in combo)) for img in images
-                )
-                if canon == combo:
-                    reps.append(
-                        CnfFormula(num_vars=n, clauses=[clauses[c] for c in combo])
-                    )
+                if combo in seen:
+                    continue
+                seen.update(tuple(sorted(img[c] for c in combo)) for img in images)
+                reps.append(CnfFormula(num_vars=n, clauses=[clauses[c] for c in combo]))
     return reps

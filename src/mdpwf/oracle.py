@@ -138,8 +138,8 @@ def threshold_decide_positional(
     exactly; float mode returns the first candidate, which may fall short
     by that margin.
     A confirmation back-substitutes along the union graph's order, or along
-    the policy's own when the union graph is cyclic (`exact_gauss` only
-    when the policy's graph is cyclic too).
+    the policy's own when the union graph is cyclic (the lifted integer
+    solve `exact_gauss` only when the policy's graph is cyclic too).
     """
     order = _full_graph_topo(asym)
     thr_f = float(threshold)

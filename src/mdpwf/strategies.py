@@ -18,7 +18,12 @@ Positional = "list[int]"
 
 
 def positional_from_names(asym: AsymMdp, mapping: dict) -> list[int]:
-    """Translate {state name: action name} into local action indices."""
+    """Translate {state name: action name} into local action indices; every
+    state must be covered and every key must name a state."""
+    known = set(asym.mdp.states)
+    for state in mapping:
+        if state not in known:
+            raise FormatError(f"unknown state {state!r}")
     sigma = []
     for s, state in enumerate(asym.mdp.states):
         if state not in mapping:

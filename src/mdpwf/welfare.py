@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
+from .linalg import _scaled
 from .model import AsymMdp
 from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode
 from .solve import _row_mask, optimal_action_set, solve_discounted
@@ -261,34 +262,70 @@ def _backward_induction(asym, adv, kappa, mode):
     """Backward induction over the mode's row view, in units of lam_0^j.
 
     The gain e_j from step j on, scaled as g_j = e_j / lam_0^j, obeys
-    g_j = max_a [delta . (lam / lam_0)^j + lam_0 P g_{j+1}], so g_0 is the
-    gain and no term underflows against the leading principal's.  In float
-    mode a chunk of CHUNK steps is scored with one power table and one
+    g_j = max_a [delta . rho^j + lam_0 P g_{j+1}], rho = lam / lam_0, so g_0
+    is the gain and no term underflows against the leading principal's.
+    Exact mode runs the same loop on integers (`_integer_terms`): it scores
+    H_j = S_j g_j with S_j = D b^j (m b)^(kappa - j) > 0, where D, b and m
+    are common denominators of delta, rho and lam_0 P, so no step needs a
+    gcd and every comparison is that of the rationals; g_0 = H_0 / S_0.
+    Float mode scores a chunk of CHUNK steps with one power table and one
     matmul; each step then adds its expected successor gain and takes the
     segment maximum per state, and the chunk's segment argmax (the least row
     index attaining the maximum, so ties go to the lowest action index) is
     taken in bulk."""
     view = asym.float_view(mode)
-    rho = view.discounts / view.discounts[0]
-    lam_prob = view.discounts[0] * view.succ_prob
     starts, succ_starts = view.row_ptr[:-1], view.succ_ptr[:-1]
-    g = np.full(view.n_states, Fraction(0) if mode.is_exact else 0.0, dtype=view.dtype)
+    if mode.is_exact:
+        # exact integers grow with the depth, and a chunk's table would hold
+        # a chunk's worth of them at once: each step scores its own row T_j
+        chunk, (delta, lam_prob, terms, scale) = 1, _integer_terms(view, adv.delta, kappa)
+    else:
+        rho = view.discounts / view.discounts[0]
+        chunk, delta, lam_prob, scale = CHUNK, adv.delta, view.discounts[0] * view.succ_prob, 1.0
+        terms = (
+            rho ** np.arange(max(0, hi - CHUNK), hi, dtype=float)[:, None]
+            for hi in range(kappa, 0, -CHUNK)
+        )
+    g = np.zeros(view.n_states, dtype=view.dtype)
     prefix = np.empty((kappa, view.n_states), dtype=np.int64)
-    # exact numbers grow with the depth: a chunk would hold a chunk's worth
-    # of them at once to save per-call costs their arithmetic outweighs
-    # (exact badly_spaced(12): 6.3 MB instead of 0.13 MB, no faster)
-    chunk = 1 if mode.is_exact else CHUNK
     for hi in range(kappa, 0, -chunk):
         lo = max(0, hi - chunk)
-        # exponents as Python ints in exact mode: Fraction ** int64 overflows
-        scores = (rho ** np.arange(lo, hi, dtype=mode.dtype)[:, None]) @ adv.delta.T
+        scores = next(terms) @ delta.T
         for row in scores[::-1]:
             row += np.add.reduceat(lam_prob * g[view.succ_idx], succ_starts)
             g = np.maximum.reduceat(row, starts)
         best = np.maximum.reduceat(scores, starts, axis=1)
         ties = np.where(scores == best[:, view.row_state], view.row_index, view.n_rows)
         prefix[lo:hi] = np.minimum.reduceat(ties, starts, axis=1) - starts
-    return prefix.tolist(), g.tolist()
+    return prefix.tolist(), (g / scale).tolist()
+
+
+def _integer_terms(view, delta, kappa):
+    """Exact backward induction's integer inputs, with D, b and m the least
+    common denominators of delta, rho and lam_0 P, and a = b rho: D delta,
+    m lam_0 P, the one-row tables T_j = a^j (m b)^(kappa - j) for
+    j = kappa - 1 down to 0, and the scale S_0 = D (m b)^kappa as a
+    `Fraction`.  Each table follows from the last by one exact division,
+    T_{j-1} = T_j m b / a."""
+    lam = view.discounts
+    rho = [x / lam[0] for x in lam]
+    lam_prob = [lam[0] * p for p in view.succ_prob.tolist()]
+    flat = delta.ravel().tolist()
+    d, b, m = (math.lcm(*(x.denominator for x in xs)) for xs in (flat, rho, lam_prob))
+    a = _scaled(rho, [b] * len(rho))
+
+    def tables():
+        t = a**kappa
+        for _ in range(kappa):
+            t = t * (m * b) // a
+            yield t[None]
+
+    return (
+        _scaled(flat, [d] * len(flat)).reshape(delta.shape),
+        _scaled(lam_prob, [m] * len(lam_prob)),
+        tables(),
+        Fraction(d * (m * b) ** kappa),
+    )
 
 
 def optimize(

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from mdpwf import (
     zero_sum_variant,
 )
 from mdpwf.generators import (
+    _canonical_clause,
+    all_clauses,
     assignment_satisfies,
     small_formula_representatives,
 )
@@ -201,6 +204,11 @@ def test_reduction_path_payoffs():
     ] == Fraction(13049, 2156250)
 
 
+def test_positional_from_names_rejects_unknown_state(investment):
+    with pytest.raises(FormatError, match="unknown state 's9'"):
+        positional_from_names(investment, {"s0": "a", "s1": "b", "s9": "zz"})
+
+
 def test_reduction_decides_satisfiability():
     asym, threshold, _ = sat_reduction(PHI)
     dec = threshold_decide_positional(asym, 0, threshold, mode=EXACT)
@@ -253,6 +261,38 @@ def test_representatives_are_canonical_and_cover_sizes():
         sorted(f.clauses) == [(-1, -1, -1), (1, 1, 1)]
         for f in reps if f.num_vars == 1
     )
+
+
+def _least_of_orbit_representatives(max_vars, max_clauses):
+    """Every combination of distinct clauses, in lexicographic order, that is
+    the least sorted image of itself under all variable renamings and
+    polarity flips."""
+    reps = []
+    for n in range(1, max_vars + 1):
+        clauses = all_clauses(n)
+        index = {c: k for k, c in enumerate(clauses)}
+        images = [
+            [
+                index[_canonical_clause((x // abs(x)) * flips[abs(x) - 1] * perm[abs(x) - 1] for x in c)]
+                for c in clauses
+            ]
+            for perm in itertools.permutations(range(1, n + 1))
+            for flips in itertools.product((1, -1), repeat=n)
+        ]
+        for k in range(1, max_clauses + 1):
+            for combo in itertools.combinations(range(len(clauses)), k):
+                if combo == min(tuple(sorted(img[c] for c in combo)) for img in images):
+                    reps.append((n, [clauses[c] for c in combo]))
+    return reps
+
+
+def test_representatives_are_the_least_of_each_orbit():
+    got = [(f.num_vars, f.clauses) for f in small_formula_representatives(3, 2)]
+    assert got == _least_of_orbit_representatives(3, 2)
+
+
+def test_representatives_count_on_three_by_three():
+    assert len(small_formula_representatives(3, 3)) == 1053
 
 
 def test_reduction_agrees_with_truth_table_spotcheck():

@@ -26,6 +26,7 @@ from mdpwf import (
     random_mdp,
     solve_discounted,
 )
+from mdpwf.welfare import _backward_induction
 
 
 def _names(asym, sigma):
@@ -583,6 +584,55 @@ def test_backward_induction_ties_go_to_lowest_index(mode):
     res = optimize(asym, mode=mode)
     assert res.kappa == 2
     assert res.strategy.prefix == [[1, 0], [1, 0]]
+
+
+def _fraction_backward_induction(asym, adv, kappa):
+    """Reference: g_j = max_a [delta . rho^j + lam_0 P g_{j+1}] in
+    `Fraction`s, one step at a time, ties to the lowest action."""
+    lams = asym.discounts
+    g, prefix = [Fraction(0)] * asym.n_states, []
+    for j in reversed(range(kappa)):
+        powers = [(lam / lams[0]) ** j for lam in lams]
+        q = [
+            [
+                sum(d * w for d, w in zip(adv.delta0[(s, a)], powers))
+                + lams[0] * sum(p * g[t] for t, p in asym.mdp.transitions[s][a])
+                for a in range(len(acts))
+            ]
+            for s, acts in enumerate(asym.mdp.actions)
+        ]
+        g = [max(qs) for qs in q]
+        prefix.append([qs.index(max(qs)) for qs in q])
+    return prefix[::-1], g
+
+
+def _tables(asym, mode):
+    adv = advantages(asym, long_term(asym, mode), mode)
+    return adv, find_kappa(asym, adv, mode=mode)
+
+
+BI_MODELS = {
+    **{f"badly_spaced-{n}": (lambda n=n: badly_spaced(n)) for n in range(2, 13)},
+    "investment": lambda: builtin("investment"),
+    "appendix_ex4": lambda: builtin("appendix_ex4"),
+    **{
+        f"random-8x3x3-{seed}": (lambda seed=seed: random_mdp(RandomMdpConfig(8, 3, 3, seed=seed)))
+        for seed in range(10)
+    },
+}
+
+
+@pytest.mark.parametrize("name", BI_MODELS)
+def test_integer_backward_induction_matches_fraction_recursion(name):
+    asym = BI_MODELS[name]()
+    adv, kappa = _tables(asym, EXACT)
+    prefix, gain = _backward_induction(asym, adv, kappa, EXACT)
+    assert (prefix, gain) == _fraction_backward_induction(asym, adv, kappa)
+    assert all(type(x) is Fraction for x in gain)
+    if name.startswith("badly_spaced"):
+        fadv, fkappa = _tables(asym, FLOAT)
+        assert fkappa == kappa
+        assert _backward_induction(asym, fadv, fkappa, FLOAT)[0] == prefix
 
 
 @pytest.mark.parametrize("seed", [3, 4, 6])
