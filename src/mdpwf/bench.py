@@ -218,7 +218,6 @@ class SweepCell:
     tail_action: str = ""
     social_welfare: float | None = None
     error: str | None = None
-    strategy: object = None
 
 
 def sweep_discounts(
@@ -262,7 +261,6 @@ def sweep_discounts(
                     social_welfare=float(
                         res.reports[asym.mdp.states[start]].social_welfare
                     ),
-                    strategy=cs,
                 )
             )
     return cells
@@ -282,16 +280,7 @@ def steps_until_action(cell: SweepCell, action: str):
     return None
 
 
-_SWEEP_FIELDS = [
-    "alpha",
-    "beta",
-    "status",
-    "kappa",
-    "prefix_signature",
-    "tail_action",
-    "social_welfare",
-    "error",
-]
+_SWEEP_FIELDS = [f.name for f in fields(SweepCell)]
 
 
 def sweep_to_csv(cells, path):

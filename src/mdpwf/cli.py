@@ -105,7 +105,7 @@ def cmd_solve(args):
     rows = [
         (
             asym.mdp.states[s],
-            result.values.values[s],
+            result.values[s],
             asym.mdp.actions[s][result.strategy[s]],
         )
         for s in range(asym.n_states)
@@ -152,12 +152,12 @@ def cmd_optimize(args):
     strategy = counting_to_doc(asym, result.strategy)
     doc = {
         "kappa": result.kappa,
-        "kappa_bound": result.kappa_bound.bound,
+        "kappa_bound": result.kappa_bound,
         "strategy": strategy,
         "reports": {s: _report_doc(result.reports[s], mode) for s in starts},
     }
     if not _emit(doc, args):
-        print(f"kappa: {result.kappa} (closed-form bound {result.kappa_bound.bound})")
+        print(f"kappa: {result.kappa} (closed-form bound {result.kappa_bound})")
         for s in starts:
             rep = result.reports[s]
             pay = ", ".join(_fmt(x, mode) for x in rep.per_principal)

@@ -21,9 +21,6 @@ class EvalResult:
     per_principal: list  # one vector per principal
     social_welfare: list
 
-    def at(self, s):
-        return [v[s] for v in self.per_principal], self.social_welfare[s]
-
 
 def _bundle(vectors):
     n = len(vectors[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -222,6 +222,22 @@ class ValidationResult:
         return not self.violations
 
 
+def _order_violations(asym: AsymMdp):
+    """(discount, next discount, message) for each consecutive pair of
+    principals whose discounts do not strictly descend."""
+    return [
+        (
+            a.discount,
+            b.discount,
+            "discounts not strictly descending: "
+            f"{a.name!r} ({format_fraction(a.discount)}) vs "
+            f"{b.name!r} ({format_fraction(b.discount)})",
+        )
+        for a, b in pairwise(asym.principals)
+        if a.discount <= b.discount
+    ]
+
+
 def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:
     """Check every model invariant; violations are data, not exceptions."""
     v = []
@@ -234,13 +250,7 @@ def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:
         if not (0 < p.discount < 1):
             v.append(f"discount of principal {p.name!r} = {format_fraction(p.discount)} "
                      "is outside (0, 1)")
-    for a, b in zip(asym.principals, asym.principals[1:]):
-        if a.discount <= b.discount:
-            v.append(
-                "discounts not strictly descending: "
-                f"{a.name!r} ({format_fraction(a.discount)}) vs "
-                f"{b.name!r} ({format_fraction(b.discount)})"
-            )
+    v.extend(message for _, _, message in _order_violations(asym))
     seen_states = set()
     for name in mdp.states:
         if name in seen_states:

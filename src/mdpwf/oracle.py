@@ -89,7 +89,6 @@ def _scored_blocks(asym, start, mode, order, cap):
 class PositionalSearch:
     best_social_welfare: object
     best_strategy: list
-    table: list | None = None
 
 
 def enumerate_positional(
@@ -97,22 +96,18 @@ def enumerate_positional(
     start: int,
     mode: NumericMode = FLOAT,
     cap: int = DEFAULT_CAP,
-    return_table: bool = False,
 ) -> PositionalSearch:
     """Evaluate every pure positional strategy, a block per array pass over
     the model's row view; ties resolve to the lexicographically first
     strategy."""
     best_sw = None
     best = None
-    table = [] if return_table else None
     for sig, sw in _scored_blocks(asym, start, mode, _full_graph_topo(asym), cap):
         sw = sw.tolist()
-        if table is not None:
-            table.extend(zip(sig.tolist(), sw))
         k = int(np.argmax(sw))
         if best_sw is None or sw[k] > best_sw:
             best_sw, best = sw[k], sig[k].tolist()
-    return PositionalSearch(best_social_welfare=best_sw, best_strategy=best, table=table)
+    return PositionalSearch(best_social_welfare=best_sw, best_strategy=best)
 
 
 @dataclass
@@ -171,7 +166,7 @@ class CountingSearch:
 def _reachable_layers(asym, start, horizon):
     """The states reachable from `start` in exactly j steps, for each
     j < horizon, and those reachable in any number of steps."""
-    succ = [{t for pairs in per_action for t, _ in pairs} for per_action in asym.mdp.transitions]
+    succ = [{t for pairs in acts for t, _ in pairs} for acts in asym.mdp.transitions]
     layers, current = [], {start}
     for _ in range(horizon):
         layers.append(sorted(current))

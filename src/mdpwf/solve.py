@@ -17,16 +17,6 @@ from .numeric import FLOAT, PI_IMPROVEMENT_TOL, TIE_TOL, VI_TOL, NumericMode
 VI_MAX_SWEEPS = 1_000_000
 
 
-@dataclass
-class ValueVector:
-    """Optimal per-state values for one principal on a restricted model."""
-
-    values: list
-
-    def __getitem__(self, s):
-        return self.values[s]
-
-
 @dataclass(eq=False)
 class QTable:
     """One-step lookahead values q over the view's rows, the restriction's
@@ -46,7 +36,7 @@ class QTable:
 
 @dataclass
 class SolveResult:
-    values: ValueVector
+    values: list | np.ndarray  # per-state values: Fractions (exact) or binary64
     q: QTable
     strategy: list  # one optimal action per state
 
@@ -104,7 +94,7 @@ def solve_discounted(
 def optimal_action_set(
     asym: AsymMdp,
     q: QTable,
-    v: ValueVector,
+    v,
     mode: NumericMode = FLOAT,
 ):
     """Per-state allowed actions whose q-value ties the optimum: exact mode
@@ -112,7 +102,7 @@ def optimal_action_set(
     state left empty raises ConvergenceError naming its shortfall
     v(s) - max allowed q(s, a) and the tolerance."""
     view = asym.float_view(mode)
-    vs = np.asarray(v.values, dtype=view.dtype)[view.row_state]
+    vs = np.asarray(v, dtype=view.dtype)[view.row_state]
     hit = q.q == vs if mode.is_exact else q.q >= vs - TIE_TOL
     hit &= q.allowed
     sets = [[] for _ in range(view.n_states)]
@@ -123,7 +113,7 @@ def optimal_action_set(
         best, _ = _masked_max(view, q.q, q.allowed)
         raise ConvergenceError(
             f"empty optimal action set at state {asym.mdp.states[s]!r}: "
-            f"v(s) - max allowed q(s, a) = {v.values[s] - best.item(s)} against tie "
+            f"v(s) - max allowed q(s, a) = {v[s] - best.item(s)} against tie "
             f"tolerance {0 if mode.is_exact else TIE_TOL}; solver tolerance too tight"
         )
     return sets
@@ -173,9 +163,7 @@ def _policy_iteration(view, principal, mask, mode):
         best, masked = _masked_max(view, q, mask)
         better = best > q[rows] + eps
         if not np.count_nonzero(better):
-            return SolveResult(
-                values=ValueVector(v), q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
-            )
+            return SolveResult(values=v, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())
         sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
 
@@ -199,6 +187,4 @@ def _value_iteration_float(view, principal, mask):
     # report v consistent with the final q table: v(s) = max_a q(s, a)
     v, masked = _masked_max(view, q, mask)
     sigma = _lowest_actions(view, masked == v[view.row_state])
-    return SolveResult(
-        values=ValueVector(v), q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist()
-    )
+    return SolveResult(values=v, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())

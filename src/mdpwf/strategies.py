@@ -75,15 +75,6 @@ class MixedStationaryStrategy:
                     f"{format_fraction(Fraction(total))}, not 1"
                 )
 
-    @classmethod
-    def point(cls, asym: AsymMdp, sigma: list[int]) -> "MixedStationaryStrategy":
-        probs = []
-        for s, a in enumerate(sigma):
-            dist = [Fraction(0)] * len(asym.mdp.actions[s])
-            dist[a] = Fraction(1)
-            probs.append(dist)
-        return cls(probs)
-
 
 @dataclass
 class CountingStrategy:
@@ -92,11 +83,6 @@ class CountingStrategy:
     kappa: int
     prefix: list[list[int]]  # prefix[j][s], j in 0..kappa-1
     tail: list[int]
-
-    def action_at(self, step: int, state: int) -> int:
-        if step < self.kappa:
-            return self.prefix[step][state]
-        return self.tail[state]
 
     def check(self, asym: AsymMdp) -> None:
         if self.kappa != len(self.prefix):

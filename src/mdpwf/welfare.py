@@ -13,15 +13,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, pairwise
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
 from .linalg import _scaled
-from .model import AsymMdp
+from .model import AsymMdp, _order_violations
 from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode
 from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
@@ -35,23 +34,18 @@ class LongTermResult:
     deterministic tail (lowest surviving action index per state)."""
 
     restricted: list  # per-state surviving action indices
-    values: list  # list[ValueVector], one per principal on its level
+    values: list  # one per principal on its level: `SolveResult.values`
     tail: list  # positional strategy inside the final restriction
 
 
-def long_term(
-    asym: AsymMdp,
-    mode: NumericMode = FLOAT,
-    method: str = "pi",
-) -> LongTermResult:
-    """Restrict the model level by level: solve for principal j, keep only
-    its optimal actions, and hand the rest to principal j+1."""
+def long_term(asym: AsymMdp, mode: NumericMode = FLOAT) -> LongTermResult:
+    """Restrict the model level by level: solve for principal j by policy
+    iteration, keep only its optimal actions, and hand the rest to
+    principal j+1."""
     restriction = None
     values = []
     for j in range(asym.n_principals):
-        result = solve_discounted(
-            asym, j, mode=mode, method=method, restriction=restriction
-        )
+        result = solve_discounted(asym, j, mode=mode, restriction=restriction)
         values.append(result.values)
         restriction = optimal_action_set(asym, result.q, result.values, mode=mode)
     tail = [allowed[0] for allowed in restriction]
@@ -67,8 +61,7 @@ class AdvantageTable:
     n_principals C-contiguous array in the mode's number type.  lead[r] is
     the least i with delta[r, i] != 0, or -1 for an all-zero row, and
     kept[r] marks the rows of the final restriction, which are certified
-    zero.  The (s, a)-keyed views `delta0`, `retained` and
-    `minimal_nonzero` are built on first read and cannot be reassigned."""
+    zero.  State s's local action a is row `view.row_ptr[s] + a`."""
 
     asym: AsymMdp = field(repr=False)
     delta: np.ndarray
@@ -79,20 +72,6 @@ class AdvantageTable:
         """(state name, action name) of row r."""
         s, a = list(self.asym.rows())[r]
         return self.asym.mdp.states[s], self.asym.mdp.actions[s][a]
-
-    @cached_property
-    def delta0(self):
-        return dict(zip(self.asym.rows(), self.delta.tolist()))
-
-    @cached_property
-    def retained(self):
-        return frozenset(compress(self.asym.rows(), self.kept.tolist()))
-
-    @cached_property
-    def minimal_nonzero(self):
-        """(s, a) -> least i with delta0 != 0, or None."""
-        leads = [None if i < 0 else i for i in self.lead.tolist()]
-        return dict(zip(self.asym.rows(), leads))
 
 
 def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> AdvantageTable:
@@ -105,7 +84,7 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
     removed row leads with a positive entry; the message names the first
     failing row."""
     view = asym.float_view(mode)
-    v = np.array([vec.values for vec in lt.values], dtype=view.dtype).T
+    v = np.array(lt.values, dtype=view.dtype).T
     succ = np.add.reduceat(view.succ_prob[:, None] * v[view.succ_idx], view.succ_ptr[:-1])
     delta = view.rewards + view.discounts * succ - v[view.row_state]
     if not mode.is_exact:
@@ -182,36 +161,16 @@ def find_kappa(
     return hi
 
 
-@dataclass
-class KappaActionEstimate:
-    minimal_index: int | None
-    kappa_prime: object  # sum of positive later advantages over |leading|
-    kappa: int
-
-
-@dataclass(frozen=True, eq=False)
-class KappaEstimate:
-    """The closed-form horizon bound; `per_action` is built on first read."""
-
-    bound: int
-    _adv: AdvantageTable = field(repr=False)
-    _estimates: dict = field(repr=False)  # row -> (kappa', kappa) where kappa' is set
-
-    @cached_property
-    def per_action(self):
-        return {
-            key: KappaActionEstimate(i, *self._estimates.get(r, (None, 0)))
-            for r, (key, i) in enumerate(self._adv.minimal_nonzero.items())
-        }
-
-
-def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT) -> KappaEstimate:
-    """Closed-form per-action horizon bound and its maximum.
+def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT) -> int:
+    """Closed-form horizon bound: the maximum over the rows of `adv` of
+    each row's own bound.
 
     For a row with leading nonzero index i and some positive later entry:
-    kappa' = sum_{p>i} max(0, delta0_p) / |delta0_i| (summed left to right)
-    and kappa = ceil(log kappa' / log(lam_i / lam_{i+1})); every other row
-    (retained, all-zero, or no positive entry after i) contributes 0.
+    kappa' = sum_{p>i} max(0, delta_p) / |delta_i| (summed left to right)
+    and kappa = ceil(log kappa' / log(lam_i / lam_{i+1})), which exact mode
+    corrects to the least k with (lam_i / lam_{i+1})^k >= kappa'; every
+    other row (retained, all-zero, or no positive entry after i)
+    contributes 0.
     """
     bases = [a / b for a, b in pairwise(asym.discounts)]  # lam_i / lam_{i+1}
     # every nonzero row leads negative (certified), so its positive entries
@@ -219,10 +178,9 @@ def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT
     total = np.maximum(adv.delta, 0).cumsum(axis=1)[:, -1]
     rows = total.nonzero()[0]
     lead = adv.lead[rows]
-    cols = zip(rows.tolist(), lead.tolist(), total[rows].tolist(), adv.delta[rows, lead].tolist())
-    estimates, bound = {}, 0
-    for r, i, t, d in cols:
-        kp, k = t / abs(d), 0
+    bound = 0
+    for i, t, d in zip(lead.tolist(), total[rows].tolist(), adv.delta[rows, lead].tolist()):
+        kp = t / abs(d)
         if kp > 1:
             base = bases[i]
             k = max(0, math.ceil(math.log(float(kp)) / math.log(float(base))))
@@ -232,9 +190,8 @@ def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT
                     k -= 1
                 while base**k < kp:
                     k += 1
-        estimates[r] = (kp, k)
-        bound = max(bound, k)
-    return KappaEstimate(bound, adv, estimates)
+            bound = max(bound, k)
+    return bound
 
 
 @dataclass
@@ -254,7 +211,7 @@ class OptimizeResult:
     long_term: LongTermResult
     advantage: AdvantageTable
     kappa: int
-    kappa_bound: KappaEstimate
+    kappa_bound: int  # `kappa_estimate`
     timings: dict
 
 
@@ -333,22 +290,28 @@ def optimize(
     mode: NumericMode = FLOAT,
     slack=None,
     max_kappa: int = 10**7,
-    method: str = "pi",
 ) -> OptimizeResult:
-    """Synthesize the welfare-optimal counting strategy and its report."""
+    """Synthesize the welfare-optimal counting strategy and its report.
+
+    The discounts must descend strictly: ValueError names the first pair
+    that does not (`merge_equal_discounts` combines equal ones)."""
+    for earlier, later, message in _order_violations(asym):
+        if earlier == later:
+            message += "; combine equal discounts with merge_equal_discounts"
+        raise ValueError(message)
     t0 = time.perf_counter()
-    lt = long_term(asym, mode=mode, method=method)
+    lt = long_term(asym, mode=mode)
     t1 = time.perf_counter()
     adv = advantages(asym, lt, mode=mode)
     kappa = find_kappa(asym, adv, slack=slack, max_kappa=max_kappa, mode=mode)
-    est = kappa_estimate(asym, adv, mode=mode)
+    bound = kappa_estimate(asym, adv, mode=mode)
     prefix, gain = _backward_induction(asym, adv, kappa, mode)
     cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=lt.tail)
     payoffs = eval_counting(asym, cs, mode)
     t2 = time.perf_counter()
     reports = {}
     for s, name in enumerate(asym.mdp.states):
-        baseline = sum(v.values[s] for v in lt.values)
+        baseline = sum(v[s] for v in lt.values)
         sw = payoffs.social_welfare[s]
         _check_decomposition(mode, sw, baseline, gain[s], name)
         reports[name] = WelfareReport(
@@ -363,7 +326,7 @@ def optimize(
         long_term=lt,
         advantage=adv,
         kappa=kappa,
-        kappa_bound=est,
+        kappa_bound=bound,
         timings={
             "long_term": t1 - t0,
             "unroll": t2 - t1,

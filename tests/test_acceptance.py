@@ -73,8 +73,7 @@ def test_criterion_01_investment_exact():
             (rep.social_welfare == Fraction(127, 9), f"SW {rep.social_welfare}"),
             (rep.baseline == 13, f"baseline {rep.baseline}"),
             (
-                res.long_term.values[0].values[0] == 11
-                and res.long_term.values[1].values[0] == 2,
+                res.long_term.values[0][0] == 11 and res.long_term.values[1][0] == 2,
                 "V != (11, 2)",
             ),
             (
@@ -92,9 +91,9 @@ def test_criterion_02_per_strategy_payoffs():
 
     def counting(k):
         cs = CountingStrategy(kappa=k, prefix=[[0, 0]] * k, tail=[1, 0])
-        return eval_counting(inv, cs, EXACT).at(0)[0]
+        return [v[0] for v in eval_counting(inv, cs, EXACT).per_principal]
 
-    a_inf = eval_positional(inv, [0, 0], EXACT).at(0)[0]
+    a_inf = [v[0] for v in eval_positional(inv, [0, 0], EXACT).per_principal]
     checks.append((_close(a_inf[0], 9, 0.01) and _close(a_inf[1], 4.5, 0.01), "a^w"))
     b_inf = counting(0)
     checks.append((_close(b_inf[0], 11, 0.01) and _close(b_inf[1], 2, 0.01), "b^w"))
@@ -110,7 +109,7 @@ def test_criterion_02_per_strategy_payoffs():
     )
     # binary64 evaluation agrees with the closed form to 1e-12
     cs = CountingStrategy(kappa=1, prefix=[[0, 0]], tail=[1, 0])
-    f1 = eval_counting(inv, cs, FLOAT).at(0)[0]
+    f1 = [v[0] for v in eval_counting(inv, cs, FLOAT).per_principal]
     checks.append(
         (
             _close(f1[0], Fraction(31, 3), 1e-12) and _close(f1[1], Fraction(11, 3), 1e-12),
@@ -161,8 +160,8 @@ def test_criterion_04_four_state_example():
     res = optimize(ex2, mode=FLOAT)
     rep = res.reports["s0"]
     tail = [ex2.mdp.actions[s][a] for s, a in enumerate(res.strategy.tail)]
-    v0 = float(res.long_term.values[0].values[0])
-    v1 = float(res.long_term.values[1].values[0])
+    v0 = float(res.long_term.values[0][0])
+    v1 = float(res.long_term.values[1][0])
     _criterion(
         4,
         [
@@ -191,7 +190,7 @@ def test_criterion_05_six_state_example():
     for mode in (EXACT, FLOAT):
         res = optimize(ex3, mode=mode)
         rep = res.reports["s0"]
-        got_v0 = res.long_term.values[0].values[0]
+        got_v0 = res.long_term.values[0][0]
         m = mode.kind
         checks += [
             (res.kappa == kappa, f"{m}: kappa {res.kappa} != {kappa}"),
@@ -222,8 +221,9 @@ def test_criterion_06_seven_state_example():
         res = optimize(ex4, mode=mode)
         rep = res.reports["s0"]
         cs = res.strategy
-        first = ex4.mdp.actions[0][cs.action_at(0, 0)]
-        second = ex4.mdp.actions[s4][cs.action_at(1, s4)]
+        rows = cs.prefix + [cs.tail]  # step j plays rows[min(j, kappa)]
+        first = ex4.mdp.actions[0][rows[0][0]]
+        second = ex4.mdp.actions[s4][rows[min(1, cs.kappa)][s4]]
         m = mode.kind
         checks += [
             (res.kappa == kappa, f"{m}: kappa {res.kappa} != {kappa}"),
@@ -243,11 +243,11 @@ def test_criterion_07_badly_spaced_family():
         lt = long_term(asym, FLOAT)
         adv = advantages(asym, lt, FLOAT)
         kappa = find_kappa(asym, adv, mode=FLOAT)
-        est = kappa_estimate(asym, adv, FLOAT)
+        bound = kappa_estimate(asym, adv, FLOAT)
         checks.append(
             (abs(kappa - reported) <= 2, f"n={n}: kappa {kappa} not within {reported}+-2")
         )
-        checks.append((est.bound >= kappa, f"n={n}: bound {est.bound} < adaptive {kappa}"))
+        checks.append((bound >= kappa, f"n={n}: bound {bound} < adaptive {kappa}"))
         checks.append(
             (
                 not spacing_report(asym, 100).all_spaced,
@@ -331,9 +331,8 @@ def test_criterion_09_oracle_equivalence_suite():
         )
         lams = [float(d) for d in asym.discounts]
         for j in range(res.kappa, res.kappa + 6):
-            for key, row in res.advantage.delta0.items():
-                imin = res.advantage.minimal_nonzero[key]
-                if imin is None:
+            for row, imin in zip(res.advantage.delta.tolist(), res.advantage.lead.tolist()):
+                if imin < 0:
                     continue
                 scale = lams[imin] ** j
                 acc = 0.0

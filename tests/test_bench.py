@@ -133,5 +133,8 @@ def test_sweep_csv(investment, tmp_path):
     sweep_to_csv(cells, path)
     with open(path, newline="") as f:
         data = list(csv.reader(f))
-    assert data[0][0] == "alpha"
-    assert data[1][2] == "ok"
+    assert data == [
+        ["alpha", "beta", "status", "kappa", "prefix_signature", "tail_action",
+         "social_welfare", "error"],
+        ["0.666666667", "0.333333333", "ok", "2", "a;a", "b", "14.1111111", ""],
+    ]

@@ -69,6 +69,21 @@ def test_optimize_prints_prefix_deviations_and_tail(tmp_path, capsys, name, devi
     assert lines[k + 1:] == [f"  {d}" for d in deviations] + [f"tail: {tail}"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+@pytest.mark.parametrize("name, kappa, bound", [("investment", 2, 2), ("appendix_ex4", 1, 1)])
+def test_optimize_reports_kappa_bound(tmp_path, capsys, mode, name, kappa, bound):
+    from mdpwf import builtin
+
+    path = tmp_path / "model.json"
+    path.write_text(dumps(builtin(name)))
+    assert main(["optimize", str(path), "--json"] + mode) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kappa"], doc["kappa_bound"]) == (kappa, bound)
+    assert main(["optimize", str(path)] + mode) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"kappa: {kappa} (closed-form bound {bound})"
+
+
 def test_optimize_json_and_strategy_file(tmp_path, capsys):
     path = _write_investment(tmp_path)
     strat = str(tmp_path / "strategy.json")
@@ -297,6 +312,21 @@ def test_solve_cli(tmp_path, capsys):
         lines = f.read().splitlines()
     assert lines[0] == "state,value,action"
     assert lines[1] == "s0,9/2,a"
+
+
+@pytest.mark.parametrize(
+    "principal, values, strategy",
+    [
+        (0, {"s0": "11", "s1": "18"}, {"s0": "b", "s1": "b"}),
+        (1, {"s0": "9/2", "s1": "9"}, {"s0": "a", "s1": "b"}),
+    ],
+)
+def test_solve_exact_json(tmp_path, capsys, principal, values, strategy):
+    path = _write_investment(tmp_path)
+    assert main(["solve", path, "--principal", str(principal), "--exact", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"] == values
+    assert doc["strategy"] == strategy
 
 
 def test_spacing_cli(tmp_path, capsys):

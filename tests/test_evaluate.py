@@ -34,14 +34,19 @@ def hotel_payoff(lam: Fraction, k: int) -> Fraction:
     return (3 - 4 * lam**k + 7 * lam ** (k + 1)) / (1 - lam)
 
 
+def _at(res, s):
+    """Per-principal payoffs and social welfare from state s."""
+    return [v[s] for v in res.per_principal], res.social_welfare[s]
+
+
 def test_positional_invest_everywhere(investment):
     res = eval_positional(investment, [1, 0], EXACT)
-    assert res.at(0) == ([Fraction(11), Fraction(2)], Fraction(13))
+    assert _at(res, 0) == ([Fraction(11), Fraction(2)], Fraction(13))
 
 
 def test_positional_never_invest(investment):
     res = eval_positional(investment, [0, 0], EXACT)
-    assert res.at(0) == ([Fraction(9), Fraction(9, 2)], Fraction(27, 2))
+    assert _at(res, 0) == ([Fraction(9), Fraction(9, 2)], Fraction(27, 2))
 
 
 def test_all_zero_rewards():
@@ -65,17 +70,17 @@ def test_positional_disabled_action(investment):
 def test_mixed_three_quarters(investment):
     mix = MixedStationaryStrategy([[Fraction(3, 4), Fraction(1, 4)], [Fraction(1)]])
     res = eval_stationary_mixed(investment, mix, EXACT)
-    assert res.at(0) == ([Fraction(10), Fraction(11, 3)], Fraction(41, 3))
+    assert _at(res, 0) == ([Fraction(10), Fraction(11, 3)], Fraction(41, 3))
 
 
 def test_mixed_one_quarter(investment):
     mix = MixedStationaryStrategy([[Fraction(1, 4), Fraction(3, 4)], [Fraction(1)]])
     res = eval_stationary_mixed(investment, mix, EXACT)
-    assert res.at(0) == ([Fraction(54, 5), Fraction(27, 11)], Fraction(729, 55))
+    assert _at(res, 0) == ([Fraction(54, 5), Fraction(27, 11)], Fraction(729, 55))
 
 
 def test_mixed_point_equals_positional(investment):
-    point = MixedStationaryStrategy.point(investment, [1, 0])
+    point = MixedStationaryStrategy([[Fraction(0), Fraction(1)], [Fraction(1)]])
     assert (
         eval_stationary_mixed(investment, point, EXACT).social_welfare
         == eval_positional(investment, [1, 0], EXACT).social_welfare
@@ -113,7 +118,7 @@ def test_mixed_float_agrees_with_exact_on_cyclic_chains(seed):
 def test_mixed_degenerate_on_a(investment):
     mix = MixedStationaryStrategy([[Fraction(1), Fraction(0)], [Fraction(1)]])
     res = eval_stationary_mixed(investment, mix, EXACT)
-    assert res.at(0) == ([Fraction(9), Fraction(9, 2)], Fraction(27, 2))
+    assert _at(res, 0) == ([Fraction(9), Fraction(9, 2)], Fraction(27, 2))
 
 
 def test_mixed_invalid_distribution(investment):
@@ -167,7 +172,7 @@ def test_positional_sums_repeated_self_loops(doubled_self_loop, mode):
 def test_counting_two_step_wait(investment):
     cs = CountingStrategy(kappa=2, prefix=[[0, 0], [0, 0]], tail=[1, 0])
     res = eval_counting(investment, cs, EXACT)
-    assert res.at(0) == ([Fraction(89, 9), Fraction(38, 9)], Fraction(127, 9))
+    assert _at(res, 0) == ([Fraction(89, 9), Fraction(38, 9)], Fraction(127, 9))
 
 
 def test_counting_kappa_zero_is_positional(investment):
@@ -181,14 +186,14 @@ def test_counting_kappa_zero_is_positional(investment):
 def test_counting_one_step_wait(investment):
     cs = CountingStrategy(kappa=1, prefix=[[0, 0]], tail=[1, 0])
     res = eval_counting(investment, cs, EXACT)
-    assert res.at(0) == ([Fraction(31, 3), Fraction(11, 3)], Fraction(14))
+    assert _at(res, 0) == ([Fraction(31, 3), Fraction(11, 3)], Fraction(14))
 
 
 @pytest.mark.parametrize("k", range(6))
 def test_closed_form_family(investment, k):
     cs = CountingStrategy(kappa=k, prefix=[[0, 0]] * k, tail=[1, 0])
     res = eval_counting(investment, cs, EXACT)
-    payoffs, _ = res.at(0)
+    payoffs, _ = _at(res, 0)
     assert payoffs[0] == hotel_payoff(Fraction(2, 3), k)
     assert payoffs[1] == hotel_payoff(Fraction(1, 3), k)
 

@@ -23,14 +23,20 @@ from mdpwf import (
 )
 import mdpwf.linalg
 import mdpwf.oracle
-from mdpwf.oracle import BLOCK, _full_graph_topo
+from mdpwf.oracle import BLOCK, DEFAULT_CAP, _full_graph_topo, _scored_blocks
+
+
+def _scan(asym, mode):
+    """(strategy, social welfare from state 0) for every pure positional
+    strategy, in the order `enumerate_positional` scores them."""
+    blocks = _scored_blocks(asym, 0, mode, _full_graph_topo(asym), DEFAULT_CAP)
+    return [pair for sig, sw in blocks for pair in zip(sig.tolist(), sw.tolist())]
 
 
 def test_enumerate_positional_investment(investment):
-    res = enumerate_positional(investment, 0, mode=EXACT, return_table=True)
+    res = enumerate_positional(investment, 0, mode=EXACT)
     assert res.best_social_welfare == Fraction(27, 2)
     assert investment.mdp.actions[0][res.best_strategy[0]] == "a"
-    assert len(res.table) == 2  # two states, one of them single-action
 
 
 def test_single_action_mdp_unique_strategy():
@@ -53,7 +59,8 @@ def test_enumerate_counting_investment(investment):
     assert res.best_social_welfare == Fraction(127, 9)
     cs = res.best_strategy
     # winner behaves like two waiting steps followed by the investment
-    seq = [investment.mdp.actions[0][cs.action_at(j, 0)] for j in range(3)]
+    rows = cs.prefix + [cs.tail]  # step j plays rows[min(j, kappa)]
+    seq = [investment.mdp.actions[0][rows[min(j, cs.kappa)][0]] for j in range(3)]
     assert seq == ["a", "a", "b"]
     check = eval_counting(investment, cs, EXACT)
     assert check.social_welfare[0] == Fraction(127, 9)
@@ -195,10 +202,10 @@ def test_unsatisfiable_scan_covers_every_block():
     space = _strategies(asym)
     assert len(space) % BLOCK and len(space) > BLOCK  # the last block is partial
     assert not threshold_decide_positional(asym, 0, threshold, mode=EXACT).satisfied
-    res = enumerate_positional(asym, 0, mode=FLOAT, return_table=True)
-    assert [sigma for sigma, _ in res.table] == space
+    scan = _scan(asym, FLOAT)
+    assert [sigma for sigma, _ in scan] == space
     want = [eval_positional(asym, sigma, FLOAT).social_welfare[0] for sigma in space]
-    assert [sw for _, sw in res.table] == pytest.approx(want, rel=1e-12)
+    assert [sw for _, sw in scan] == pytest.approx(want, rel=1e-12)
     assert max(want) < float(threshold)
 
 
@@ -207,13 +214,15 @@ def test_unsatisfiable_scan_covers_every_block():
 def test_enumerate_positional_matches_reference_scan(investment, mode, cyclic):
     asym = random_mdp(RandomMdpConfig(num_states=4, seed=1)) if cyclic else investment
     assert (_full_graph_topo(asym) is None) == cyclic
-    res = enumerate_positional(asym, 0, mode=mode, return_table=True)
+    res = enumerate_positional(asym, 0, mode=mode)
+    scan = _scan(asym, mode)
     space = _strategies(asym)
     want = [eval_positional(asym, sigma, mode).social_welfare[0] for sigma in space]
-    assert [sigma for sigma, _ in res.table] == space
-    assert all(type(a) is int for sigma, _ in res.table for a in sigma)
-    assert all(type(sw) is (Fraction if mode.is_exact else float) for _, sw in res.table)
-    assert [sw for _, sw in res.table] == pytest.approx(want, rel=1e-12)
+    assert [sigma for sigma, _ in scan] == space
+    assert all(type(a) is int for sigma, _ in scan for a in sigma)
+    assert all(type(sw) is (Fraction if mode.is_exact else float) for _, sw in scan)
+    assert type(res.best_social_welfare) is (Fraction if mode.is_exact else float)
+    assert [sw for _, sw in scan] == pytest.approx(want, rel=1e-12)
     assert res.best_strategy == space[want.index(max(want))]
 
 

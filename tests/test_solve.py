@@ -22,19 +22,19 @@ from mdpwf.numeric import VI_TOL
 
 def test_alice_optimal_values(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
-    assert res.values.values == [Fraction(11), Fraction(18)]
+    assert res.values == [Fraction(11), Fraction(18)]
     assert investment.mdp.actions[0][res.strategy[0]] == "b"
 
 
 def test_bob_unrestricted(investment):
     res = solve_discounted(investment, 1, mode=EXACT)
-    assert res.values.values[0] == Fraction(9, 2)
+    assert res.values[0] == Fraction(9, 2)
     assert investment.mdp.actions[0][res.strategy[0]] == "a"
 
 
 def test_bob_restricted_to_alice_optimal(investment):
     res = solve_discounted(investment, 1, mode=EXACT, restriction=[[1], [0]])
-    assert res.values.values[0] == Fraction(2)
+    assert res.values[0] == Fraction(2)
 
 
 def test_q_values_and_action_set(investment):
@@ -89,7 +89,7 @@ def _bellman_residual(asym, res, restriction=None):
     for s in range(asym.n_states):
         allowed = range(len(asym.mdp.actions[s])) if restriction is None else restriction[s]
         best = max(float(res.q.value(s, a)) for a in allowed)
-        worst = max(worst, abs(best - float(res.values.values[s])))
+        worst = max(worst, abs(best - float(res.values[s])))
     return worst
 
 
@@ -99,7 +99,7 @@ def test_exact_bellman_residual_zero(investment):
         best = max(
             res.q.value(s, a) for a in range(len(investment.mdp.actions[s]))
         )
-        assert best == res.values.values[s]
+        assert best == res.values[s]
 
 
 def test_pi_vi_agree_on_seeded_instances():
@@ -117,7 +117,7 @@ def test_pi_vi_agree_on_seeded_instances():
             pi = solve_discounted(asym, i, mode=FLOAT, method="pi")
             vi = solve_discounted(asym, i, mode=FLOAT, method="vi")
             gap = float(
-                np.max(np.abs(np.asarray(pi.values.values) - np.asarray(vi.values.values)))
+                np.max(np.abs(np.asarray(pi.values) - np.asarray(vi.values)))
             )
             worst = max(worst, gap)
             assert _bellman_residual(asym, pi) < 1e-8
@@ -137,7 +137,7 @@ def test_returned_strategy_evaluates_to_values():
         res = solve_discounted(asym, 0, mode=FLOAT, method="pi")
         ev = eval_positional(asym, res.strategy, FLOAT)
         gap = np.max(
-            np.abs(np.asarray(ev.per_principal[0]) - np.asarray(res.values.values))
+            np.abs(np.asarray(ev.per_principal[0]) - np.asarray(res.values))
         )
         assert gap < 1e-9
 
@@ -145,7 +145,7 @@ def test_returned_strategy_evaluates_to_values():
 def test_exact_strategy_evaluates_to_values(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
     ev = eval_positional(investment, res.strategy, EXACT)
-    assert list(ev.per_principal[0]) == list(res.values.values)
+    assert list(ev.per_principal[0]) == list(res.values)
 
 
 SOLVERS = [
@@ -184,7 +184,7 @@ def test_q_value_outside_restriction_raises(investment):
 )
 def test_empty_optimal_set_names_margin(investment, mode, bump):
     res = solve_discounted(investment, 0, mode=mode)
-    res.values.values[1] += bump  # s1's only action now falls short of v(s1)
+    res.values[1] += bump  # s1's only action now falls short of v(s1)
     pattern = r"state 's1': v\(s\) - max allowed q\(s, a\) = (\S+) against tie tolerance (\S+);"
     with pytest.raises(ConvergenceError, match=pattern) as info:
         optimal_action_set(investment, res.q, res.values, mode=mode)

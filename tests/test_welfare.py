@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from mdpwf import (
     optimize,
     random_mdp,
     solve_discounted,
+    validate,
 )
 from mdpwf.welfare import _backward_induction
 
@@ -33,12 +35,17 @@ def _names(asym, sigma):
     return [asym.mdp.actions[s][a] for s, a in enumerate(sigma)]
 
 
+def _row(asym, s, a):
+    """Advantage-table row of state s and local action a (`asym.rows()` order)."""
+    return list(asym.rows()).index((s, a))
+
+
 def test_long_term_investment(investment):
     lt = long_term(investment, EXACT)
     assert _names(investment, lt.tail) == ["b", "b"]
     assert lt.restricted == [[1], [0]]
-    assert lt.values[0].values == [Fraction(11), Fraction(18)]
-    assert lt.values[1].values == [Fraction(2), Fraction(9)]
+    assert lt.values[0] == [Fraction(11), Fraction(18)]
+    assert lt.values[1] == [Fraction(2), Fraction(9)]
 
 
 def test_long_term_single_principal(investment):
@@ -49,30 +56,31 @@ def test_long_term_single_principal(investment):
     )
     lt = long_term(solo, EXACT)
     direct = solve_discounted(solo, 0, mode=EXACT)
-    assert lt.values[0].values == direct.values.values
+    assert lt.values[0] == direct.values
     assert lt.tail == direct.strategy
 
 
 def test_advantages_investment(investment):
     lt = long_term(investment, EXACT)
     adv = advantages(investment, lt, EXACT)
-    assert adv.delta0[(0, 0)] == [Fraction(-2, 3), Fraction(5, 3)]
-    assert adv.delta0[(0, 1)] == [Fraction(0), Fraction(0)]
-    assert adv.delta0[(1, 0)] == [Fraction(0), Fraction(0)]
-    assert adv.minimal_nonzero[(0, 0)] == 0
-    assert adv.retained == {(0, 1), (1, 0)}
+    delta = adv.delta.tolist()
+    assert delta[_row(investment, 0, 0)] == [Fraction(-2, 3), Fraction(5, 3)]
+    assert delta[_row(investment, 0, 1)] == [Fraction(0), Fraction(0)]
+    assert delta[_row(investment, 1, 0)] == [Fraction(0), Fraction(0)]
+    assert adv.lead[_row(investment, 0, 0)] == 0
+    assert adv.kept.tolist() == [False, True, True]  # rows (0, 0), (0, 1), (1, 0)
 
 
 def test_advantage_sign_pattern_on_deviating_example(ex4):
     lt = long_term(ex4, EXACT)
     adv = advantages(ex4, lt, EXACT)
-    row = adv.delta0[(0, 0)]  # action a at s0
+    row = adv.delta[_row(ex4, 0, 0)]  # action a at s0
     assert row[0] < 0 < row[1]
 
 
 def test_certification_rejects_tampered_values(investment):
     lt = long_term(investment, EXACT)
-    lt.values[0].values[0] += 1
+    lt.values[0][0] += 1
     with pytest.raises(CertificationError):
         advantages(investment, lt, EXACT)
 
@@ -81,7 +89,7 @@ def test_find_kappa_investment(investment):
     lt = long_term(investment, EXACT)
     adv = advantages(investment, lt, EXACT)
     lam0, lam1 = investment.discounts
-    d = adv.delta0[(0, 0)]
+    d = adv.delta[_row(investment, 0, 0)]
     # the aggregate advantage stays positive through depth 1 and flips at 2
     assert d[0] + d[1] == Fraction(1)
     assert lam0 * d[0] + lam1 * d[1] == Fraction(1, 9)
@@ -181,16 +189,67 @@ def test_find_kappa_matches_linear_scan_random(states, principals, seeds, modes)
             _assert_kappa_matches_linear_scan(asym, mode)
 
 
+def _kappa_bounds_by_row(asym, adv):
+    """Per row of an exact advantage table, in `Fraction`s: (kappa', k) with
+    kappa' the sum of the positive entries after the leading one over the
+    leading entry's magnitude, and k the least k >= 0 with
+    (lam_i / lam_{i+1})^k >= kappa' for leading index i; (None, 0) on an
+    all-zero row."""
+    lams = asym.discounts
+    bounds = []
+    for row, i in zip(adv.delta.tolist(), adv.lead.tolist()):
+        if i < 0:
+            bounds.append((None, 0))
+            continue
+        kp = sum(max(d, Fraction(0)) for d in row[i + 1:]) / abs(row[i])
+        k = 0
+        if kp > 1:
+            while (lams[i] / lams[i + 1]) ** k < kp:
+                k += 1
+        bounds.append((kp, k))
+    return bounds
+
+
 def test_kappa_estimate_investment(investment):
     lt = long_term(investment, EXACT)
     adv = advantages(investment, lt, EXACT)
-    est = kappa_estimate(investment, adv, EXACT)
-    entry = est.per_action[(0, 0)]
-    assert entry.minimal_index == 0
-    assert entry.kappa_prime == Fraction(5, 2)
-    assert entry.kappa == 2  # ceil(log2 2.5)
-    assert est.per_action[(0, 1)].kappa == 0
-    assert est.bound == 2
+    bounds = _kappa_bounds_by_row(investment, adv)
+    assert adv.lead[_row(investment, 0, 0)] == 0
+    assert bounds[_row(investment, 0, 0)] == (Fraction(5, 2), 2)  # ceil(log2 2.5)
+    assert bounds[_row(investment, 0, 1)][1] == 0
+    assert kappa_estimate(investment, adv, EXACT) == 2
+
+
+@pytest.mark.parametrize("name", ["appendix_ex4", *(f"random-{seed}" for seed in range(20))])
+def test_exact_kappa_estimate_matches_fraction_reference(name):
+    if name.startswith("random-"):
+        seed = int(name.removeprefix("random-"))
+        cfg = RandomMdpConfig(num_states=8, actions_per_state=3, num_principals=3, seed=seed)
+        asym = random_mdp(cfg)
+    else:
+        asym = builtin(name)
+    adv = advantages(asym, long_term(asym, EXACT), EXACT)
+    want = max(k for _, k in _kappa_bounds_by_row(asym, adv))
+    assert kappa_estimate(asym, adv, EXACT) == want
+
+
+def test_exact_kappa_estimate_at_a_power_boundary():
+    # (s0, wait) trails (s0, go) by 1 for A and leads it by 125 for B, so
+    # kappa' = 125 = 5^3 with lam_A / lam_B = 5.  The float quotient of logs
+    # is 3.0000000000000004, whose ceiling exact mode corrects to 3.
+    asym = AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2)), ("B", Fraction(1, 10))],
+        actions=[
+            ("s0", "go", [("s1", 1)], [1, 0]),
+            ("s0", "wait", [("s1", 1)], [0, 125]),
+            ("s1", "stay", [("s1", 1)], 0),
+        ],
+    )
+    assert math.ceil(math.log(125) / math.log(5)) == 4
+    adv = advantages(asym, long_term(asym, EXACT), EXACT)
+    assert _kappa_bounds_by_row(asym, adv)[_row(asym, 0, 1)] == (125, 3)
+    assert kappa_estimate(asym, adv, EXACT) == 3
 
 
 def test_kappa_estimate_bounds_adaptive():
@@ -205,7 +264,7 @@ def test_kappa_estimate_bounds_adaptive():
         asym = random_mdp(cfg)
         lt = long_term(asym, FLOAT)
         adv = advantages(asym, lt, FLOAT)
-        assert kappa_estimate(asym, adv, FLOAT).bound >= find_kappa(asym, adv, mode=FLOAT)
+        assert kappa_estimate(asym, adv, FLOAT) >= find_kappa(asym, adv, mode=FLOAT)
 
 
 MODES = pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
@@ -239,7 +298,7 @@ TAMPERED = [
 def test_certification_error_names_first_failing_row(mode, name, principal, state, shift, messages):
     asym = builtin(name)
     lt = long_term(asym, mode)
-    lt.values[principal].values[state] += shift
+    lt.values[principal][state] += shift
     with pytest.raises(CertificationError) as err:
         advantages(asym, lt, mode)
     assert str(err.value) == messages[mode.kind]
@@ -265,13 +324,11 @@ def test_advantage_views_hold_python_numbers(investment, mode):
     number = Fraction if mode.is_exact else float
     res = optimize(investment, mode=mode)
     adv = res.advantage
-    assert all(type(d) is number for row in adv.delta0.values() for d in row)
-    assert all(type(i) is int for i in adv.minimal_nonzero.values() if i is not None)
-    entry = res.kappa_bound.per_action[(0, 0)]
-    assert type(entry.kappa_prime) is number
-    assert type(entry.kappa) is int and type(entry.minimal_index) is int
+    assert all(type(d) is number for row in adv.delta.tolist() for d in row)
+    assert all(type(i) is int for i in adv.lead.tolist())
+    assert type(res.kappa_bound) is int
     with pytest.raises(dataclasses.FrozenInstanceError):
-        adv.delta0 = {}
+        adv.delta = adv.delta.copy()
     # with one principal kappa is 0 and the gain is the mode's zero
     solo = AsymMdp(
         mdp=investment.mdp,
@@ -284,6 +341,38 @@ def test_advantage_views_hold_python_numbers(investment, mode):
         assert type(rep.deviation_gain) is number and rep.deviation_gain == 0
 
 
+@MODES
+@pytest.mark.parametrize(
+    "seed, discounts, message",
+    [
+        # float optimize used to return kappa 0 and SW(s0) 20.155 here,
+        # where a depth-3 counting strategy reaches 34.035
+        (6, (Fraction(3, 10), Fraction(9, 10)), "'P0' (3/10) vs 'P1' (9/10)"),
+        # and to overflow in find_kappa here
+        (0, (Fraction(3, 10), Fraction(9, 10)), "'P0' (3/10) vs 'P1' (9/10)"),
+        (
+            6,
+            (Fraction(1, 2), Fraction(1, 2)),
+            "'P0' (1/2) vs 'P1' (1/2); combine equal discounts with merge_equal_discounts",
+        ),
+    ],
+    ids=["ascending-seed6", "ascending-seed0", "tie"],
+)
+def test_optimize_rejects_discounts_not_strictly_descending(mode, seed, discounts, message):
+    cfg = RandomMdpConfig(
+        num_states=3,
+        actions_per_state=2,
+        num_principals=2,
+        discounts=[Fraction(9, 10), Fraction(3, 10)],
+        seed=seed,
+    )
+    asym = random_mdp(cfg).with_discounts(list(discounts))
+    with pytest.raises(ValueError) as err:
+        optimize(asym, mode=mode)
+    assert str(err.value) == "discounts not strictly descending: " + message
+    assert validate(asym).violations == [str(err.value).split(";")[0]]
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_model_without_states(mode):
     empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
@@ -291,7 +380,7 @@ def test_model_without_states(mode):
     assert res.kappa == 0
     assert res.reports == {}
     vi = solve_discounted(empty, 0, mode=FLOAT, method="vi")
-    assert len(vi.values.values) == 0 and vi.strategy == []
+    assert len(vi.values) == 0 and vi.strategy == []
 
 
 def test_optimize_investment_exact(investment):
@@ -312,8 +401,8 @@ def test_optimize_six_state_example(ex3):
     assert _names(ex3, res.strategy.tail) == ["b", "d", "f", "g", "h", "k"]
     rep = res.reports["s0"]
     # V0(s0) = 0.99^2 * (5 + 0.99 * 1100), V1(s0) = 23/45000, no deviation
-    assert res.long_term.values[0].values[0] == Fraction(5361147, 5000)
-    assert res.long_term.values[1].values[0] == Fraction(23, 45000)
+    assert res.long_term.values[0][0] == Fraction(5361147, 5000)
+    assert res.long_term.values[1][0] == Fraction(23, 45000)
     assert rep.deviation_gain == 0
     assert rep.social_welfare == Fraction(24125173, 22500)
 
@@ -333,8 +422,8 @@ def test_optimize_four_state_example(ex2):
     res = optimize(ex2, mode=EXACT)
     assert res.kappa == 2
     assert _names(ex2, res.strategy.tail) == ["b", "d", "e", "f"]
-    assert res.long_term.values[0].values[0] == Fraction(450, 23)
-    assert res.long_term.values[1].values[0] == Fraction(150, 287)
+    assert res.long_term.values[0][0] == Fraction(450, 23)
+    assert res.long_term.values[1][0] == Fraction(150, 287)
     # the only profitable deviation sits at s1, unreachable before the
     # horizon from s0, so the start state keeps the tail behaviour
     assert res.reports["s0"].deviation_gain == 0
@@ -343,10 +432,9 @@ def test_optimize_four_state_example(ex2):
 
 def _prefix_sums_ok(asym, adv, j, slack):
     lams = [float(d) for d in asym.discounts]
-    for key, row in adv.delta0.items():
+    for row, imin in zip(adv.delta.tolist(), adv.lead.tolist()):
         acc = 0.0
-        imin = adv.minimal_nonzero[key]
-        if imin is None:
+        if imin < 0:
             continue
         scale = lams[imin] ** j
         for p, d in enumerate(row):
@@ -364,7 +452,7 @@ def test_absorption_and_late_layers(investment, ex3, ex4):
         for j in range(kappa, kappa + 6):
             assert _prefix_sums_ok(asym, adv, j, 1e-12)
             # aggregate layer rewards are nonpositive past the horizon
-            for key, row in adv.delta0.items():
+            for row in adv.delta.tolist():
                 agg = sum(
                     float(d) * float(lam) ** j
                     for d, lam in zip(row, asym.discounts)
@@ -374,8 +462,9 @@ def test_absorption_and_late_layers(investment, ex3, ex4):
 
 def test_retained_layer_rewards_zero(investment):
     res = optimize(investment, mode=EXACT)
-    for (s, a) in res.advantage.retained:
-        assert all(d == 0 for d in res.advantage.delta0[(s, a)])
+    adv = res.advantage
+    for row in adv.delta[adv.kept].tolist():
+        assert all(d == 0 for d in row)
 
 
 def test_dominance_over_tail_and_positional():
@@ -515,26 +604,11 @@ def test_five_principal_cascade():
     # every prefix sum is nonpositive at the found horizon for all 5 prefixes
     adv = e.advantage
     kappa = e.kappa
-    for key, row in adv.delta0.items():
+    for row in adv.delta.tolist():
         acc = Fraction(0)
         for p, d in enumerate(row):
             acc += asym.discounts[p] ** kappa * d
             assert acc <= 0
-
-
-def test_optimize_value_iteration_backend(investment, ex4):
-    for asym, expected in ((investment, Fraction(127, 9)), (ex4, None)):
-        pi = optimize(asym, mode=FLOAT, method="pi")
-        vi = optimize(asym, mode=FLOAT, method="vi")
-        assert vi.kappa == pi.kappa
-        assert vi.strategy.tail == pi.strategy.tail
-        gap = abs(
-            float(vi.reports["s0"].social_welfare)
-            - float(pi.reports["s0"].social_welfare)
-        )
-        assert gap < 1e-6
-        if expected is not None:
-            assert abs(float(vi.reports["s0"].social_welfare) - float(expected)) < 1e-6
 
 
 def test_optimize_badly_spaced_end_to_end():
@@ -595,7 +669,7 @@ def _fraction_backward_induction(asym, adv, kappa):
         powers = [(lam / lams[0]) ** j for lam in lams]
         q = [
             [
-                sum(d * w for d, w in zip(adv.delta0[(s, a)], powers))
+                sum(d * w for d, w in zip(adv.delta[_row(asym, s, a)], powers))
                 + lams[0] * sum(p * g[t] for t, p in asym.mdp.transitions[s][a])
                 for a in range(len(acts))
             ]
