@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
+from .linalg import _dense, _entries, policy_values_exact, policy_values_float, power_pays, topo_order
 from .model import AsymMdp
 from .numeric import FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
@@ -91,9 +91,7 @@ def _counting_values(view, cs, tail_vals):
     runs = [(row, len(list(same))) for row, same in itertools.groupby(cs.prefix)]
     for row, length in reversed(runs):
         played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
-        # a sparse step takes at least 2n multiplications, repeated squaring
-        # at most 2 bit_length(length) products of (n+1) x (n+1) matrices
-        if length.bit_length() * (n + 1) ** 3 < n * length:
+        if power_pays(n, length):
             u = _affine_power(view, played, length, u)
             continue
         for _ in range(length):
@@ -106,11 +104,8 @@ def _affine_power(view, played, length, u):
     """u after `length` steps of u -> r + lam * P u over the played rows, by
     repeated squaring of each principal's augmented matrix [[lam P, r], [0, 1]]."""
     n = view.n_states
-    src, dst, prob = _entries(view, played)
-    p = np.zeros((n, n), dtype=view.dtype)
-    np.add.at(p, (src, dst), prob)  # sums repeated successors
     base = np.zeros((view.n_principals, n + 1, n + 1), dtype=view.dtype)
-    base[:, :n, :n] = view.discounts[:, None, None] * p
+    base[:, :n, :n] = view.discounts[:, None, None] * _dense(view, played)
     base[:, :n, n] = view.rewards[played].T
     base[:, n, n] = 1
     power = None

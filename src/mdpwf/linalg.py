@@ -147,6 +147,14 @@ def _reconstruct(x, modulus, num_bound, det_bound):
     return np.array(y, dtype=object), d
 
 
+def power_pays(n, length):
+    """Whether `length` steps over n states cost more as a closed form of
+    (n+1) x (n+1) matrix products than step by step: a sparse step takes at
+    least 2n multiplications, repeated squaring at most 2 bit_length(length)
+    matrix products."""
+    return length.bit_length() * (n + 1) ** 3 < n * length
+
+
 def topo_order(n, src, dst):
     """Reverse topological order (sinks first) of the graph on n states with
     edges src -> dst, ignoring self loops; None if it has a cycle through
@@ -175,6 +183,15 @@ def _entries(view, rows, weight=None):
     row = view.succ_row[e]
     prob = view.succ_prob[e] if weight is None else weight[row] * view.succ_prob[e]
     return view.row_state[row], view.succ_idx[e], prob
+
+
+def _dense(view, rows):
+    """The n_states x n_states transition matrix of the view's `rows`
+    (ascending, one per state), with repeated successors summed."""
+    src, dst, prob = _entries(view, rows)
+    p = np.zeros((view.n_states, view.n_states), dtype=view.dtype)
+    np.add.at(p, (src, dst), prob)
+    return p
 
 
 def policy_values_float(view, principal, entries, r):

@@ -19,13 +19,15 @@ import numpy as np
 
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
-from .linalg import _scaled
+from .linalg import _dense, _scaled, power_pays
 from .model import AsymMdp, _order_violations
 from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode
 from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
 
 CHUNK = 1024  # backward-induction steps scored per power table and matmul
+_WINDOW_START = 64  # steps in the first closed-form window of a run
+_WINDOW_CAP = 2 * CHUNK  # steps in the widest closed-form window
 
 
 @dataclass
@@ -41,7 +43,14 @@ class LongTermResult:
 def long_term(asym: AsymMdp, mode: NumericMode = FLOAT) -> LongTermResult:
     """Restrict the model level by level: solve for principal j by policy
     iteration, keep only its optimal actions, and hand the rest to
-    principal j+1."""
+    principal j+1.
+
+    The discounts must descend strictly: ValueError names the first pair
+    that does not (`merge_equal_discounts` combines equal ones)."""
+    for earlier, later, message in _order_violations(asym):
+        if earlier == later:
+            message += "; combine equal discounts with merge_equal_discounts"
+        raise ValueError(message)
     restriction = None
     values = []
     for j in range(asym.n_principals):
@@ -229,8 +238,13 @@ def _backward_induction(asym, adv, kappa, mode):
     matmul; each step then adds its expected successor gain and takes the
     segment maximum per state, and the chunk's segment argmax (the least row
     index attaining the maximum, so ties go to the lowest action index) is
-    taken in bulk."""
+    taken in bulk.  Where a closed form over kappa steps pays (`power_pays`),
+    float mode instead takes the prefix as runs that play one row per state,
+    each run in closed form, at a cost that follows the number of runs
+    rather than kappa (`_float_runs`)."""
     view = asym.float_view(mode)
+    if not mode.is_exact and power_pays(view.n_states, kappa):
+        return _float_runs(view, adv.delta, kappa)
     starts, succ_starts = view.row_ptr[:-1], view.succ_ptr[:-1]
     if mode.is_exact:
         # exact integers grow with the depth, and a chunk's table would hold
@@ -251,10 +265,77 @@ def _backward_induction(asym, adv, kappa, mode):
         for row in scores[::-1]:
             row += np.add.reduceat(lam_prob * g[view.succ_idx], succ_starts)
             g = np.maximum.reduceat(row, starts)
-        best = np.maximum.reduceat(scores, starts, axis=1)
-        ties = np.where(scores == best[:, view.row_state], view.row_index, view.n_rows)
-        prefix[lo:hi] = np.minimum.reduceat(ties, starts, axis=1) - starts
+        prefix[lo:hi] = _segment_argmax(view, scores) - starts
     return prefix.tolist(), (g / scale).tolist()
+
+
+def _segment_argmax(view, scores):
+    """Per step (row of `scores`) and state, the least row index attaining
+    the state's maximum score, so ties go to the lowest action index."""
+    starts = view.row_ptr[:-1]
+    best = np.maximum.reduceat(scores, starts, axis=1)
+    ties = np.where(scores == best[:, view.row_state], view.row_index, view.n_rows)
+    return np.minimum.reduceat(ties, starts, axis=1)
+
+
+def _float_runs(view, delta, kappa):
+    """Float backward induction as runs of steps that play one row per state,
+    each run in closed form.
+
+    A run starts with one step of the stepwise arithmetic, which fixes the
+    rows sigma at step hi - 1.  While sigma is played, g_j = U rho^j + M g_{j+1}
+    with M = lam_0 P_sigma and U = delta[sigma], whose solution is
+    g_j = sum_i rho_i^j w_i + M^(hi - j) z, where (I - rho_i M) w_i = U_i (one
+    batched solve; rho_i <= 1 and M's spectral radius is below 1) and
+    z = g_hi - sum_i rho_i^hi w_i.  The transient M^k z is built by doubling,
+    [X, M^|X| X], so it is exact up to rounding.  A window of steps below hi
+    is then scored row by row as the stepwise loop scores them.  A step
+    keeps sigma as its segment argmax unless some row beats sigma's row in
+    its state: a higher score, or an equal one at a lower row index.  The
+    window is accepted down to the highest step where sigma is beaten, and
+    the next run starts there.  A clean window doubles the next one, from
+    _WINDOW_START up to _WINDOW_CAP steps."""
+    n, lam0 = view.n_states, view.discounts[0]
+    rho = view.discounts / lam0
+    lam_prob = lam0 * view.succ_prob
+    starts, succ_starts = view.row_ptr[:-1], view.succ_ptr[:-1]
+
+    def scored(powers, gs):  # step j's scores from rho^j and g_{j+1}
+        successors = np.add.reduceat(lam_prob * gs[:, view.succ_idx], succ_starts, axis=1)
+        return powers @ delta.T + successors
+
+    g = np.zeros(n)
+    runs = []  # (first step, end step, local actions), last run first
+    hi = kappa
+    while hi:
+        sigma = _segment_argmax(view, scored((rho ** (hi - 1.0))[None], g[None]))[0]
+        m = lam0 * _dense(view, sigma)
+        w = np.linalg.solve(np.eye(n) - rho[:, None, None] * m, delta[sigma].T[:, :, None])[..., 0]
+        rival = sigma[view.row_state]  # sigma's row in each row's state
+        lower = view.row_index < rival  # wins a tie against it
+        width, run_top = _WINDOW_START, hi
+        while hi:
+            lo = max(0, hi - width)
+            powers = rho ** np.arange(lo, hi + 1, dtype=float)[:, None]  # steps lo..hi
+            x, mk = (g - powers[-1] @ w)[None], m  # rows M^k z, and M^len(x)
+            while len(x) <= hi - lo:
+                x, mk = np.concatenate([x, x[: hi - lo + 1 - len(x)] @ mk.T]), mk @ mk
+            gs = powers @ w + x[hi - lo :: -1]
+            gs[-1] = g  # g_hi itself, not its rounded closed form
+            scores = scored(powers[:-1], gs[1:])
+            own = scores[:, rival]
+            off = np.where(lower, scores >= own, scores > own).any(axis=1)
+            off[-1] &= hi < run_top  # the run's first step fixed sigma
+            top = lo + 1 + int(off.nonzero()[0][-1]) if off.any() else lo
+            g, hi = gs[top - lo], top
+            if top > lo:  # sigma is beaten at step top - 1
+                break
+            width = min(2 * width, _WINDOW_CAP)
+        runs.append((hi, run_top, sigma - starts))
+    prefix = []
+    for lo, hi, actions in reversed(runs):
+        prefix += np.broadcast_to(actions, (hi - lo, n)).tolist()
+    return prefix, g.tolist()
 
 
 def _integer_terms(view, delta, kappa):
@@ -293,12 +374,7 @@ def optimize(
 ) -> OptimizeResult:
     """Synthesize the welfare-optimal counting strategy and its report.
 
-    The discounts must descend strictly: ValueError names the first pair
-    that does not (`merge_equal_discounts` combines equal ones)."""
-    for earlier, later, message in _order_violations(asym):
-        if earlier == later:
-            message += "; combine equal discounts with merge_equal_discounts"
-        raise ValueError(message)
+    Discounts that do not descend strictly raise ValueError (`long_term`)."""
     t0 = time.perf_counter()
     lt = long_term(asym, mode=mode)
     t1 = time.perf_counter()

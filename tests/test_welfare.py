@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from mdpwf import (
     solve_discounted,
     validate,
 )
+from mdpwf import welfare
+from mdpwf.linalg import power_pays
 from mdpwf.welfare import _backward_induction
 
 
@@ -373,6 +376,29 @@ def test_optimize_rejects_discounts_not_strictly_descending(mode, seed, discount
     assert validate(asym).violations == [str(err.value).split(";")[0]]
 
 
+@MODES
+@pytest.mark.parametrize(
+    "seed, discounts, message",
+    [
+        # the layers after long_term used to accept these: find_kappa
+        # overflowed in a power on seed 0 and returned 0 on seed 6
+        (0, (Fraction(3, 10), Fraction(9, 10)), "'P0' (3/10) vs 'P1' (9/10)"),
+        (6, (Fraction(3, 10), Fraction(9, 10)), "'P0' (3/10) vs 'P1' (9/10)"),
+        (
+            6,
+            (Fraction(1, 2), Fraction(1, 2)),
+            "'P0' (1/2) vs 'P1' (1/2); combine equal discounts with merge_equal_discounts",
+        ),
+    ],
+    ids=["ascending-seed0", "ascending-seed6", "tie"],
+)
+def test_long_term_rejects_discounts_not_strictly_descending(mode, seed, discounts, message):
+    asym = random_mdp(RandomMdpConfig(8, 3, 2, seed=seed)).with_discounts(list(discounts))
+    with pytest.raises(ValueError) as err:
+        long_term(asym, mode=mode)
+    assert str(err.value) == "discounts not strictly descending: " + message
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_model_without_states(mode):
     empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
@@ -660,6 +686,73 @@ def test_backward_induction_ties_go_to_lowest_index(mode):
     assert res.strategy.prefix == [[1, 0], [1, 0]]
 
 
+# (discounts, states, seed) of random 3-action models whose float backward
+# induction takes the closed form over kappa steps, with 2 to 4 runs
+CLOSED_FORM_MODELS = [
+    ((Fraction(20, 39), Fraction(21, 41)), 3, 12),
+    ((Fraction(20, 39), Fraction(21, 41)), 3, 21),
+    ((Fraction(9, 10), Fraction(8, 9)), 3, 1),
+    ((Fraction(9, 10), Fraction(8, 9)), 3, 3),
+    ((Fraction(9, 10), Fraction(8, 9)), 4, 15),
+    ((Fraction(9, 10), Fraction(89, 100), Fraction(22, 25)), 3, 7),
+    ((Fraction(9, 10), Fraction(89, 100), Fraction(22, 25)), 3, 16),
+    ((Fraction(9, 10), Fraction(89, 100), Fraction(22, 25)), 4, 22),
+]
+
+
+@pytest.mark.parametrize(
+    "discounts, states, seed",
+    CLOSED_FORM_MODELS,
+    ids=[f"{len(d)}pr-{n}st-seed{seed}" for d, n, seed in CLOSED_FORM_MODELS],
+)
+def test_float_runs_match_exact(monkeypatch, discounts, states, seed):
+    asym = random_mdp(RandomMdpConfig(states, 3, len(discounts), discounts=list(discounts), seed=seed))
+    f = optimize(asym, mode=FLOAT)
+    e = optimize(asym, mode=EXACT)
+    assert power_pays(states, f.kappa)
+    assert 2 <= len(list(groupby(f.strategy.prefix))) <= 4
+    assert f.kappa == e.kappa
+    assert f.strategy.prefix == e.strategy.prefix
+    for name in asym.mdp.states:
+        want = e.reports[name].deviation_gain
+        got = f.reports[name].deviation_gain
+        assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+    # a first window as long as the last run puts the second window's top
+    # step where that run's rows are beaten
+    _, last = next(groupby(reversed(e.strategy.prefix)))
+    monkeypatch.setattr(welfare, "_WINDOW_START", len(list(last)))
+    assert optimize(asym, mode=FLOAT).strategy.prefix == e.strategy.prefix
+
+
+def _badly_spaced_twins(n):
+    """badly_spaced(n) with a twin of S1's loop and of its move, each right
+    after its original."""
+    return AsymMdp.build(
+        states=["P0", "S1", "S2"],
+        principals=[("P0", Fraction(n, 2 * n - 1)), ("P1", Fraction(n + 1, 2 * n + 1))],
+        actions=[
+            ("P0", "go", [("S1", Fraction(1, 2)), ("P0", Fraction(1, 2))], 0),
+            ("S1", "loop", [("S1", 1)], [1, 0]),
+            ("S1", "loop_twin", [("S1", 1)], [1, 0]),
+            ("S1", "move", [("S2", 1)], [2, 2]),
+            ("S1", "move_twin", [("S2", 1)], [2, 2]),
+            ("S2", "stay", [("S2", 1)], [0, 2]),
+        ],
+    )
+
+
+@MODES
+def test_float_runs_ties_go_to_lowest_index(mode):
+    twins = _badly_spaced_twins(20)
+    res = optimize(twins, mode=mode)
+    assert power_pays(twins.n_states, res.kappa)
+    s1 = twins.state_index("S1")
+    assert {row[s1] for row in res.strategy.prefix} == {twins.action_index(s1, "move")}
+    original = [0, None, 1, None]  # S1's local actions in badly_spaced(20)
+    mapped = [[a if s != s1 else original[a] for s, a in enumerate(row)] for row in res.strategy.prefix]
+    assert mapped == optimize(badly_spaced(20), mode=mode).strategy.prefix
+
+
 def _fraction_backward_induction(asym, adv, kappa):
     """Reference: g_j = max_a [delta . rho^j + lam_0 P g_{j+1}] in
     `Fraction`s, one step at a time, ties to the lowest action."""
@@ -703,10 +796,20 @@ def test_integer_backward_induction_matches_fraction_recursion(name):
     prefix, gain = _backward_induction(asym, adv, kappa, EXACT)
     assert (prefix, gain) == _fraction_backward_induction(asym, adv, kappa)
     assert all(type(x) is Fraction for x in gain)
-    if name.startswith("badly_spaced"):
-        fadv, fkappa = _tables(asym, FLOAT)
-        assert fkappa == kappa
-        assert _backward_induction(asym, fadv, fkappa, FLOAT)[0] == prefix
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_float_backward_induction_matches_exact_badly_spaced(n):
+    # kappa 16 to 3,570; from n = 6 on, float mode takes the one-run prefix in closed form
+    asym = badly_spaced(n)
+    adv, kappa = _tables(asym, EXACT)
+    fadv, fkappa = _tables(asym, FLOAT)
+    assert fkappa == kappa
+    prefix, gain = _backward_induction(asym, adv, kappa, EXACT)
+    fprefix, fgain = _backward_induction(asym, fadv, fkappa, FLOAT)
+    assert fprefix == prefix
+    for got, want in zip(fgain, gain):
+        assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
 
 @pytest.mark.parametrize("seed", [3, 4, 6])
