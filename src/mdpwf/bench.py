@@ -187,8 +187,8 @@ def run_rq3(
 def _fmt(x):
     if x is None:
         return ""
-    if isinstance(x, float):
-        return f"{x:.9g}"
+    if isinstance(x, (float, Fraction)):
+        return f"{float(x):.9g}"
     return str(x)
 
 
@@ -247,9 +247,8 @@ def sweep_discounts(
                 cells.append(SweepCell(alpha=a, beta=b, status="error", error=str(e)))
                 continue
             cs = res.strategy
-            sig = ";".join(
-                asym.mdp.actions[start][cs.prefix[j][start]] for j in range(cs.kappa)
-            )
+            names = asym.mdp.actions[start]
+            sig = ";".join(names[row[start]] for steps, row in cs.runs for _ in range(steps))
             cells.append(
                 SweepCell(
                     alpha=a,
@@ -257,7 +256,7 @@ def sweep_discounts(
                     status="ok",
                     kappa=res.kappa,
                     prefix_signature=sig,
-                    tail_action=asym.mdp.actions[start][cs.tail[start]],
+                    tail_action=names[cs.tail[start]],
                     social_welfare=float(
                         res.reports[asym.mdp.states[start]].social_welfare
                     ),
@@ -272,29 +271,13 @@ def steps_until_action(cell: SweepCell, action: str):
     if cell.status != "ok":
         return None
     names = cell.prefix_signature.split(";") if cell.prefix_signature else []
-    for j, name in enumerate(names):
-        if name == action:
-            return j
-    if cell.tail_action == action:
-        return cell.kappa
-    return None
+    if action in names:
+        return names.index(action)
+    return cell.kappa if cell.tail_action == action else None
 
 
 _SWEEP_FIELDS = [f.name for f in fields(SweepCell)]
 
 
 def sweep_to_csv(cells, path):
-    rows = (
-        [
-            _fmt(float(c.alpha)),
-            _fmt(float(c.beta)),
-            c.status,
-            _fmt(c.kappa),
-            c.prefix_signature,
-            c.tail_action,
-            _fmt(c.social_welfare),
-            c.error or "",
-        ]
-        for c in cells
-    )
-    write_csv(path, _SWEEP_FIELDS, rows)
+    write_csv(path, _SWEEP_FIELDS, ([_fmt(getattr(c, f)) for f in _SWEEP_FIELDS] for c in cells))

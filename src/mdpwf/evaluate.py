@@ -3,7 +3,6 @@ per-principal discounted payoffs and social welfare, exact or binary64."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,7 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
     positional values; equals the forward expectation sum_j lam^j E[R] plus
     the lam^kappa-weighted tail value.  Both modes hold all principals at
     once in an n_states x n_principals array over the mode's row view, and
-    the prefix is taken as runs of equal rows (see `_counting_values`).
+    the prefix is taken run by run (see `_counting_values`).
     """
     cs.check(asym)
     tail_vals = eval_positional(asym, cs.tail, mode)
@@ -78,8 +77,8 @@ def _counting_values(view, cs, tail_vals):
     """Per-principal value lists of a checked counting strategy, given its
     tail's values.
 
-    The prefix is taken as runs of equal rows.  A run of L rows playing rows
-    sigma applies the affine map u -> r_sigma + lam * P_sigma u L times.
+    The prefix is taken run by run, last run first.  A run of L steps
+    playing rows sigma applies the affine map u -> r_sigma + lam * P_sigma u L times.
     When repeated squaring of each principal's (n+1) x (n+1) augmented
     matrix takes fewer multiplications than L sparse steps, the run is one
     matrix power; otherwise each step is one segment sum of successor
@@ -88,8 +87,7 @@ def _counting_values(view, cs, tail_vals):
     u = np.array(tail_vals.per_principal, dtype=view.dtype).T
     prob = view.succ_prob[:, None]
     starts = view.succ_ptr[:-1]
-    runs = [(row, len(list(same))) for row, same in itertools.groupby(cs.prefix)]
-    for row, length in reversed(runs):
+    for length, row in reversed(cs.runs):
         played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
         if power_pays(n, length):
             u = _affine_power(view, played, length, u)

@@ -184,12 +184,12 @@ def canonical_trim(asym: AsymMdp, cs: CountingStrategy, start: int) -> CountingS
     then drop trailing prefix rows that equal the tail."""
     support = {start}
     prefix = []
-    for row in cs.prefix[:cs.kappa]:
+    for row in cs.prefix:
         prefix.append([row[s] if s in support else cs.tail[s] for s in range(asym.n_states)])
         support = {t for s in support for t, _ in asym.mdp.transitions[s][row[s]]}
     while prefix and prefix[-1] == cs.tail:
         prefix.pop()
-    return CountingStrategy(kappa=len(prefix), prefix=prefix, tail=list(cs.tail))
+    return CountingStrategy.from_rows(prefix, list(cs.tail))
 
 
 def enumerate_counting(
@@ -225,7 +225,7 @@ def enumerate_counting(
             k = int(np.argmax(sw))
             if best_sw is None or sw[k] > best_sw:
                 best_sw = sw.tolist()[k]
-                best = CountingStrategy(horizon, prefixes[k].tolist(), tail.tolist())
+                best = CountingStrategy.from_rows(prefixes[k], tail.tolist())
     return CountingSearch(
         best_social_welfare=best_sw,
         best_strategy=canonical_trim(asym, best, start),

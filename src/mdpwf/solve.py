@@ -5,7 +5,7 @@ per-state lists of action indices are its public form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +19,11 @@ VI_MAX_SWEEPS = 1_000_000
 
 @dataclass(eq=False)
 class QTable:
-    """One-step lookahead values q over the view's rows, the restriction's
-    row mask `allowed`, and the view's `row_ptr`."""
+    """One-step lookahead values q over the view's rows, and the
+    restriction's row mask `allowed`."""
 
     q: np.ndarray
     allowed: np.ndarray
-    row_ptr: np.ndarray = field(repr=False)
-
-    def value(self, s, a):
-        """q(s, a) for an allowed local action a; KeyError otherwise."""
-        ptr = self.row_ptr
-        if 0 <= s < len(ptr) - 1 and 0 <= a < ptr[s + 1] - ptr[s] and self.allowed[ptr[s] + a]:
-            return self.q.item(ptr[s] + a)
-        raise KeyError((s, a))
 
 
 @dataclass
@@ -163,7 +155,7 @@ def _policy_iteration(view, principal, mask, mode):
         best, masked = _masked_max(view, q, mask)
         better = best > q[rows] + eps
         if not np.count_nonzero(better):
-            return SolveResult(values=v, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())
+            return SolveResult(values=v, q=QTable(q, mask), strategy=sigma.tolist())
         sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
 
@@ -187,4 +179,4 @@ def _value_iteration_float(view, principal, mask):
     # report v consistent with the final q table: v(s) = max_a q(s, a)
     v, masked = _masked_max(view, q, mask)
     sigma = _lowest_actions(view, masked == v[view.row_state])
-    return SolveResult(values=v, q=QTable(q, mask, view.row_ptr), strategy=sigma.tolist())
+    return SolveResult(values=v, q=QTable(q, mask), strategy=sigma.tolist())

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+
+import numpy as np
 
 from .errors import DisabledActionError, FormatError
 from .model import AsymMdp, _check_fields, _field, _parse_number, _read_json
 from .numeric import ROW_SUM_TOL, NumericMode, format_fraction
-
-# One enabled action index per state.
-Positional = "list[int]"
 
 
 def positional_from_names(asym: AsymMdp, mapping: dict) -> list[int]:
@@ -78,21 +78,41 @@ class MixedStationaryStrategy:
 
 @dataclass
 class CountingStrategy:
-    """Step-indexed prefix table of depth kappa plus a positional tail."""
+    """A depth-kappa prefix, as (steps, row) runs in step order, then a positional tail."""
 
     kappa: int
-    prefix: list[list[int]]  # prefix[j][s], j in 0..kappa-1
+    runs: list[tuple[int, list[int]]]
     tail: list[int]
 
+    @classmethod
+    def from_rows(cls, rows, tail):
+        """The strategy that plays rows[j] at step j < len(rows), as maximal runs."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(tail))
+        cuts = (rows[1:] != rows[:-1]).any(axis=1).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else []
+        return cls(len(rows), [(hi - lo, rows[lo].tolist()) for lo, hi in pairwise(bounds)], tail)
+
+    @property
+    def prefix(self) -> list[list[int]]:
+        """The runs expanded to one row per step: prefix[j][s], j < kappa."""
+        return [list(row) for steps, row in self.runs for _ in range(steps)]
+
     def check(self, asym: AsymMdp) -> None:
-        if self.kappa != len(self.prefix):
-            raise DisabledActionError("prefix depth does not match kappa")
         check_positional(asym, self.tail)
-        checked = None
-        for row in self.prefix:
-            if row != checked:  # a row equal to the one before is valid too
-                check_positional(asym, row)
-                checked = row
+        for steps, row in self.runs:
+            if steps < 1:
+                raise DisabledActionError("prefix runs must be positive")
+            check_positional(asym, row)
+        if sum(steps for steps, _ in self.runs) != self.kappa:
+            raise DisabledActionError("prefix depth does not match kappa")
+
+
+def _append_run(runs, steps, row):
+    """Append `steps` steps of `row` to `runs`, merged into the last run if it plays `row`."""
+    if steps and runs and runs[-1][1] == row:
+        runs[-1] = (runs[-1][0] + steps, row)
+    elif steps:
+        runs.append((steps, row))
 
 
 # -- strategy files -------------------------------------------------------
@@ -106,10 +126,12 @@ _TOP_FIELDS = {
 
 def _int_field(rec, name, where):
     value = _field(rec, name, where)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise FormatError(f"field {name!r} is not an integer: {value!r}", location=where) from None
+    if not isinstance(value, bool):  # JSON true/false are not integers
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise FormatError(f"field {name!r} is not an integer: {value!r}", location=where)
 
 
 def _by_state(asym, records, where, name, kind=None):
@@ -173,9 +195,8 @@ def parse_strategy(text: str, asym: AsymMdp):
     if kappa < 0:
         raise FormatError("kappa must be nonnegative", location="top level")
     tail = _pairs_to_positional(asym, _field(raw, "tail", "top level", list), "tail")
-    prefix = [list(tail) for _ in range(kappa)]
     records = _field(raw, "prefix", "top level", list) if "prefix" in raw else []
-    given = set()
+    rows, given = {}, set()  # rows: step -> row, for the steps the file lists
     for k, rec in enumerate(records):
         where = f"prefix[{k}]"
         _check_fields(rec, {"step", "state", "action"}, where)
@@ -184,7 +205,7 @@ def parse_strategy(text: str, asym: AsymMdp):
             raise FormatError(f"prefix step {step} outside 0..kappa-1", location=where)
         try:
             s = asym.state_index(_field(rec, "state", where))
-            prefix[step][s] = asym.action_index(s, _field(rec, "action", where))
+            a = asym.action_index(s, _field(rec, "action", where))
         except KeyError as e:
             raise FormatError(e.args[0], location=where) from None
         if (step, s) in given:
@@ -192,7 +213,14 @@ def parse_strategy(text: str, asym: AsymMdp):
                 f"prefix step {step} at state {asym.mdp.states[s]!r} listed twice", location=where
             )
         given.add((step, s))
-    return CountingStrategy(kappa=kappa, prefix=prefix, tail=tail)
+        rows.setdefault(step, list(tail))[s] = a
+    runs, done, tail_row = [], 0, list(tail)  # the steps below `done` are in `runs`
+    for step in sorted(rows):
+        _append_run(runs, step - done, tail_row)
+        _append_run(runs, 1, rows[step])
+        done = step + 1
+    _append_run(runs, kappa - done, tail_row)
+    return CountingStrategy(kappa=kappa, runs=runs, tail=tail)
 
 
 def load_strategy(path, asym: AsymMdp):
@@ -204,13 +232,15 @@ def counting_to_doc(asym: AsymMdp, cs: CountingStrategy) -> dict:
     """JSON document for a counting strategy; prefix rows equal to the
     tail are omitted (they are implied)."""
     mdp = asym.mdp
-    prefix = []
-    for j, row in enumerate(cs.prefix):
-        for s, a in enumerate(row):
-            if a != cs.tail[s]:
-                prefix.append(
-                    {"step": j, "state": mdp.states[s], "action": mdp.actions[s][a]}
-                )
+    prefix, step = [], 0
+    for steps, row in cs.runs:
+        changed = [(s, a) for s, a in enumerate(row) if a != cs.tail[s]]
+        if changed:  # a run that plays the tail writes nothing, however long
+            prefix += (
+                {"step": j, "state": mdp.states[s], "action": mdp.actions[s][a]}
+                for j in range(step, step + steps) for s, a in changed
+            )
+        step += steps
     return {
         "type": "counting",
         "kappa": cs.kappa,

@@ -224,8 +224,9 @@ class OptimizeResult:
     timings: dict
 
 
-def _backward_induction(asym, adv, kappa, mode):
-    """Backward induction over the mode's row view, in units of lam_0^j.
+def _backward_induction(asym, adv, kappa, tail, mode):
+    """Backward induction over the mode's row view, in units of lam_0^j: the
+    optimal counting strategy of depth kappa before `tail`, and its gain.
 
     The gain e_j from step j on, scaled as g_j = e_j / lam_0^j, obeys
     g_j = max_a [delta . rho^j + lam_0 P g_{j+1}], rho = lam / lam_0, so g_0
@@ -244,7 +245,7 @@ def _backward_induction(asym, adv, kappa, mode):
     rather than kappa (`_float_runs`)."""
     view = asym.float_view(mode)
     if not mode.is_exact and power_pays(view.n_states, kappa):
-        return _float_runs(view, adv.delta, kappa)
+        return _float_runs(view, adv.delta, kappa, tail)
     starts, succ_starts = view.row_ptr[:-1], view.succ_ptr[:-1]
     if mode.is_exact:
         # exact integers grow with the depth, and a chunk's table would hold
@@ -266,7 +267,7 @@ def _backward_induction(asym, adv, kappa, mode):
             row += np.add.reduceat(lam_prob * g[view.succ_idx], succ_starts)
             g = np.maximum.reduceat(row, starts)
         prefix[lo:hi] = _segment_argmax(view, scores) - starts
-    return prefix.tolist(), (g / scale).tolist()
+    return CountingStrategy.from_rows(prefix, tail), (g / scale).tolist()
 
 
 def _segment_argmax(view, scores):
@@ -278,7 +279,7 @@ def _segment_argmax(view, scores):
     return np.minimum.reduceat(ties, starts, axis=1)
 
 
-def _float_runs(view, delta, kappa):
+def _float_runs(view, delta, kappa, tail):
     """Float backward induction as runs of steps that play one row per state,
     each run in closed form.
 
@@ -305,7 +306,7 @@ def _float_runs(view, delta, kappa):
         return powers @ delta.T + successors
 
     g = np.zeros(n)
-    runs = []  # (first step, end step, local actions), last run first
+    runs = []  # (steps, local actions), last run first
     hi = kappa
     while hi:
         sigma = _segment_argmax(view, scored((rho ** (hi - 1.0))[None], g[None]))[0]
@@ -331,11 +332,8 @@ def _float_runs(view, delta, kappa):
             if top > lo:  # sigma is beaten at step top - 1
                 break
             width = min(2 * width, _WINDOW_CAP)
-        runs.append((hi, run_top, sigma - starts))
-    prefix = []
-    for lo, hi, actions in reversed(runs):
-        prefix += np.broadcast_to(actions, (hi - lo, n)).tolist()
-    return prefix, g.tolist()
+        runs.append((run_top - hi, (sigma - starts).tolist()))
+    return CountingStrategy(kappa, runs[::-1], tail), g.tolist()
 
 
 def _integer_terms(view, delta, kappa):
@@ -381,8 +379,7 @@ def optimize(
     adv = advantages(asym, lt, mode=mode)
     kappa = find_kappa(asym, adv, slack=slack, max_kappa=max_kappa, mode=mode)
     bound = kappa_estimate(asym, adv, mode=mode)
-    prefix, gain = _backward_induction(asym, adv, kappa, mode)
-    cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=lt.tail)
+    cs, gain = _backward_induction(asym, adv, kappa, lt.tail, mode)
     payoffs = eval_counting(asym, cs, mode)
     t2 = time.perf_counter()
     reports = {}

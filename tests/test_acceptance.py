@@ -90,7 +90,7 @@ def test_criterion_02_per_strategy_payoffs():
     checks = []
 
     def counting(k):
-        cs = CountingStrategy(kappa=k, prefix=[[0, 0]] * k, tail=[1, 0])
+        cs = CountingStrategy.from_rows([[0, 0]] * k, [1, 0])
         return [v[0] for v in eval_counting(inv, cs, EXACT).per_principal]
 
     a_inf = [v[0] for v in eval_positional(inv, [0, 0], EXACT).per_principal]
@@ -108,7 +108,7 @@ def test_criterion_02_per_strategy_payoffs():
         (a2 == [Fraction(89, 9), Fraction(38, 9)], f"a^2 b^w exact {a2}")
     )
     # binary64 evaluation agrees with the closed form to 1e-12
-    cs = CountingStrategy(kappa=1, prefix=[[0, 0]], tail=[1, 0])
+    cs = CountingStrategy.from_rows([[0, 0]], [1, 0])
     f1 = [v[0] for v in eval_counting(inv, cs, FLOAT).per_principal]
     checks.append(
         (

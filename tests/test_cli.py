@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,18 @@ def test_eval_positional_and_mixed_files(tmp_path, capsys):
              "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
             "prefix step 0 at state 's0' listed twice (at prefix[1])",
         ),
+        # JSON booleans are not integers, though Python's int() takes them
+        (
+            {"type": "counting", "kappa": True,
+             "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
+            "field 'kappa' is not an integer: True (at top level)",
+        ),
+        (
+            {"type": "counting", "kappa": 1,
+             "prefix": [{"step": False, "state": "s0", "action": "a"}],
+             "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}]},
+            "field 'step' is not an integer: False (at prefix[0])",
+        ),
     ],
 )
 def test_eval_malformed_strategy_names_location(tmp_path, capsys, doc, location):
@@ -300,6 +313,30 @@ def test_eval_malformed_strategy_names_location(tmp_path, capsys, doc, location)
     assert main(["eval", path, "--strategy", str(strat)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and location in err
+
+
+@pytest.mark.parametrize("kappa", [10**6, 10**12])
+def test_eval_long_sparse_counting_file_in_small_memory(tmp_path, capsys, kappa):
+    # a file of a few hundred bytes: parsing and evaluating it must not take
+    # memory (or time) that grows with kappa
+    path = _write_investment(tmp_path)
+    strat = tmp_path / "s.json"
+    strat.write_text(json.dumps({
+        "type": "counting", "kappa": kappa,
+        "prefix": [{"step": kappa // 2, "state": "s0", "action": "a"}],
+        "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}],
+    }))
+    tracemalloc.start()
+    try:
+        assert main(["eval", path, "--strategy", str(strat)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert capsys.readouterr().out.splitlines() == [
+        "start s0: per principal (11, 2); SW 13",
+        "start s1: per principal (18, 9); SW 27",
+    ]
 
 
 def test_solve_cli(tmp_path, capsys):

@@ -128,19 +128,22 @@ def test_mixed_invalid_distribution(investment):
 
 
 @pytest.mark.parametrize(
-    "kappa, prefix, message",
+    "kappa, prefix, message",  # each prefix given as its runs
     [
-        (2, [[0, 0], [0, 5]], "state 's1' has no action index 5"),
-        (2, [[0, 0], [-1, 7]], "state 's0' has no action index -1"),
-        (2, [[0, 0], [0]], "strategy length does not match state count"),
-        (3, [[0, 0]], "prefix depth does not match kappa"),
-        # the invalid row follows a run of equal valid rows
-        (4, [[0, 0], [0, 0], [0, 0], [0, 3]], "state 's1' has no action index 3"),
+        (2, [(1, [0, 0]), (1, [0, 5])], "state 's1' has no action index 5"),
+        (2, [(1, [0, 0]), (1, [-1, 7])], "state 's0' has no action index -1"),
+        (2, [(1, [0, 0]), (1, [0])], "strategy length does not match state count"),
+        (3, [(1, [0, 0])], "prefix depth does not match kappa"),
+        # the invalid row follows a run of valid ones
+        (4, [(3, [0, 0]), (1, [0, 3])], "state 's1' has no action index 3"),
+        (1, [(2, [0, 0])], "prefix depth does not match kappa"),
+        (2, [(2, [0, 0]), (0, [1, 0])], "prefix runs must be positive"),
+        (2, [(3, [0, 0]), (-1, [1, 0])], "prefix runs must be positive"),
     ],
 )
 @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
 def test_counting_rejects_first_invalid_entry(investment, kappa, prefix, message, mode):
-    cs = CountingStrategy(kappa=kappa, prefix=prefix, tail=[1, 0])
+    cs = CountingStrategy(kappa=kappa, runs=prefix, tail=[1, 0])
     with pytest.raises(DisabledActionError, match=message):
         eval_counting(investment, cs, mode)
 
@@ -170,13 +173,13 @@ def test_positional_sums_repeated_self_loops(doubled_self_loop, mode):
 
 
 def test_counting_two_step_wait(investment):
-    cs = CountingStrategy(kappa=2, prefix=[[0, 0], [0, 0]], tail=[1, 0])
+    cs = CountingStrategy.from_rows([[0, 0], [0, 0]], [1, 0])
     res = eval_counting(investment, cs, EXACT)
     assert _at(res, 0) == ([Fraction(89, 9), Fraction(38, 9)], Fraction(127, 9))
 
 
 def test_counting_kappa_zero_is_positional(investment):
-    cs = CountingStrategy(kappa=0, prefix=[], tail=[1, 0])
+    cs = CountingStrategy.from_rows([], [1, 0])
     assert (
         eval_counting(investment, cs, EXACT).social_welfare
         == eval_positional(investment, [1, 0], EXACT).social_welfare
@@ -184,14 +187,14 @@ def test_counting_kappa_zero_is_positional(investment):
 
 
 def test_counting_one_step_wait(investment):
-    cs = CountingStrategy(kappa=1, prefix=[[0, 0]], tail=[1, 0])
+    cs = CountingStrategy.from_rows([[0, 0]], [1, 0])
     res = eval_counting(investment, cs, EXACT)
     assert _at(res, 0) == ([Fraction(31, 3), Fraction(11, 3)], Fraction(14))
 
 
 @pytest.mark.parametrize("k", range(6))
 def test_closed_form_family(investment, k):
-    cs = CountingStrategy(kappa=k, prefix=[[0, 0]] * k, tail=[1, 0])
+    cs = CountingStrategy.from_rows([[0, 0]] * k, [1, 0])
     res = eval_counting(investment, cs, EXACT)
     payoffs, _ = _at(res, 0)
     assert payoffs[0] == hotel_payoff(Fraction(2, 3), k)
@@ -219,7 +222,7 @@ def test_linearity_in_rewards(investment):
 
 def test_merge_invariance_counting(twins):
     merged = merge_equal_discounts(twins)
-    cs = CountingStrategy(kappa=2, prefix=[[0, 0], [1, 0]], tail=[0, 0])
+    cs = CountingStrategy.from_rows([[0, 0], [1, 0]], [0, 0])
     assert (
         eval_counting(twins, cs, EXACT).social_welfare
         == eval_counting(merged, cs, EXACT).social_welfare
@@ -270,10 +273,9 @@ def test_forward_propagation_matches_backward():
             seed=seed,
         )
         asym = random_mdp(cfg)
-        cs = CountingStrategy(
-            kappa=3,
-            prefix=[[seed % 2, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]],
-            tail=[0, 0, 1, 1],
+        cs = CountingStrategy.from_rows(
+            [[seed % 2, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]],
+            [0, 0, 1, 1],
         )
         res = eval_counting(asym, cs, FLOAT)
         for start in range(4):
@@ -335,9 +337,7 @@ def test_float_counting_matches_exact_property(data):
     ).map(list)
     prefix = data.draw(st.lists(positional, max_size=6), label="prefix")
     tail = data.draw(positional, label="tail")
-    _assert_float_matches_exact(
-        asym, CountingStrategy(kappa=len(prefix), prefix=prefix, tail=tail)
-    )
+    _assert_float_matches_exact(asym, CountingStrategy.from_rows(prefix, tail))
 
 
 def _stepwise_counting(asym, cs, mode):
@@ -388,8 +388,7 @@ RUN_MODELS = {
 @pytest.mark.parametrize("name,runs", RUN_CASES)
 def test_counting_by_runs_matches_stepwise(name, runs, mode):
     asym = RUN_MODELS[name]()
-    prefix = [list(row) for length, row in runs for _ in range(length)]
-    cs = CountingStrategy(kappa=len(prefix), prefix=prefix, tail=[0] * asym.n_states)
+    cs = CountingStrategy(sum(length for length, _ in runs), runs, [0] * asym.n_states)
     got = eval_counting(asym, cs, mode).per_principal
     want = _stepwise_counting(asym, cs, mode)
     if mode.is_exact:

@@ -92,13 +92,13 @@ def test_counting_matches_optimize_on_deviating_example(ex4):
 
 
 def test_canonical_trim(investment):
-    cs = CountingStrategy(kappa=3, prefix=[[0, 0], [0, 0], [1, 0]], tail=[1, 0])
+    cs = CountingStrategy.from_rows([[0, 0], [0, 0], [1, 0]], [1, 0])
     trimmed = canonical_trim(investment, cs, 0)
     assert trimmed.kappa == 2  # trailing tail-equal row dropped
     assert trimmed.prefix == [[0, 0], [0, 0]]
     # cells unreachable under the strategy are pinned to the tail first:
     # after b at step 0 the walk sits at s1, so the step-1 cell at s0 is moot
-    cs2 = CountingStrategy(kappa=2, prefix=[[1, 0], [0, 0]], tail=[1, 0])
+    cs2 = CountingStrategy.from_rows([[1, 0], [0, 0]], [1, 0])
     assert canonical_trim(investment, cs2, 0).kappa == 0
 
 
@@ -249,7 +249,7 @@ def test_counting_scan_crosses_prefix_blocks():
             prefix = [list(tail) for _ in range(horizon)]
             for (j, s), a in zip(cells, choice):
                 prefix[j][s] = a
-            cs = CountingStrategy(horizon, prefix, list(tail))
+            cs = CountingStrategy.from_rows(prefix, list(tail))
             sw = eval_counting(asym, cs, FLOAT).social_welfare[0]
             if best_sw is None or sw > best_sw:
                 best_sw, best = sw, cs

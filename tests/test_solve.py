@@ -20,6 +20,11 @@ from mdpwf import (
 from mdpwf.numeric import VI_TOL
 
 
+def _q(asym, res, s, a):
+    """q(s, a) of a solve result: state s's local action a is row row_ptr[s] + a."""
+    return res.q.q.item(asym.float_view(FLOAT).row_ptr[s] + a)
+
+
 def test_alice_optimal_values(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
     assert res.values == [Fraction(11), Fraction(18)]
@@ -39,8 +44,8 @@ def test_bob_restricted_to_alice_optimal(investment):
 
 def test_q_values_and_action_set(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
-    assert res.q.value(0, 0) == Fraction(31, 3)  # 3 + (2/3) * 11
-    assert res.q.value(0, 1) == Fraction(11)
+    assert _q(investment, res, 0, 0) == Fraction(31, 3)  # 3 + (2/3) * 11
+    assert _q(investment, res, 0, 1) == Fraction(11)
     sets = optimal_action_set(investment, res.q, res.values, mode=EXACT)
     assert sets == [[1], [0]]
 
@@ -88,7 +93,7 @@ def _bellman_residual(asym, res, restriction=None):
     worst = 0.0
     for s in range(asym.n_states):
         allowed = range(len(asym.mdp.actions[s])) if restriction is None else restriction[s]
-        best = max(float(res.q.value(s, a)) for a in allowed)
+        best = max(float(_q(asym, res, s, a)) for a in allowed)
         worst = max(worst, abs(best - float(res.values[s])))
     return worst
 
@@ -97,7 +102,7 @@ def test_exact_bellman_residual_zero(investment):
     res = solve_discounted(investment, 0, mode=EXACT)
     for s in range(investment.n_states):
         best = max(
-            res.q.value(s, a) for a in range(len(investment.mdp.actions[s]))
+            _q(investment, res, s, a) for a in range(len(investment.mdp.actions[s]))
         )
         assert best == res.values[s]
 
@@ -173,10 +178,8 @@ def test_bad_restriction_rejected(investment, restriction, message, mode, method
 
 def test_q_value_outside_restriction_raises(investment):
     res = solve_discounted(investment, 1, mode=EXACT, restriction=[[1], [0]])
-    assert res.q.value(0, 1) == Fraction(-1) + Fraction(1, 3) * 9
-    for key in [(0, 0), (0, 2), (1, 1), (2, 0), (-1, 0)]:
-        with pytest.raises(KeyError):
-            res.q.value(*key)
+    assert _q(investment, res, 0, 1) == Fraction(-1) + Fraction(1, 3) * 9
+    assert res.q.allowed.tolist() == [False, True, True]  # rows (s0, a), (s0, b), (s1, b)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +220,7 @@ def test_strategy_takes_lowest_allowed_index_among_ties(mode, method):
     asym = _tie_model()
     res = solve_discounted(asym, 0, mode=mode, method=method, restriction=[[0, 1, 2, 3], [1, 2]])
     assert res.strategy == [1, 1]
-    assert res.q.value(0, 1) == res.q.value(0, 3)
+    assert _q(asym, res, 0, 1) == _q(asym, res, 0, 3)
     assert float(res.values[0]) == pytest.approx(6)
     full = solve_discounted(asym, 0, mode=mode, method=method)
     assert full.strategy == [4, 0]
@@ -232,7 +235,7 @@ def test_optimal_action_set_matches_loop_over_q(mode):
         def keep(q, v):
             return q == v if mode.is_exact else q >= v - 1e-9
 
-        return [[a for a in acts if keep(res.q.value(s, a), res.values[s])]
+        return [[a for a in acts if keep(_q(asym, res, s, a), res.values[s])]
                 for s, acts in enumerate(allowed)]
 
     for seed in range(20):
@@ -264,8 +267,7 @@ def test_edited_optimal_sets_are_honoured(investment, mode, method):
     sets[0].append(0)  # s0 may now play only a
     res = solve_discounted(investment, 1, mode=mode, method=method, restriction=sets)
     assert res.strategy == [0, 0]
-    with pytest.raises(KeyError):
-        res.q.value(0, 1)
+    assert res.q.allowed.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])

@@ -1,7 +1,7 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdpwf import (
+    BUILTIN_NAMES,
     EXACT,
     FLOAT,
     AsymMdp,
@@ -31,6 +32,7 @@ from mdpwf import (
 )
 from mdpwf import welfare
 from mdpwf.linalg import power_pays
+from mdpwf.strategies import counting_to_doc, parse_strategy
 from mdpwf.welfare import _backward_induction
 
 
@@ -710,7 +712,7 @@ def test_float_runs_match_exact(monkeypatch, discounts, states, seed):
     f = optimize(asym, mode=FLOAT)
     e = optimize(asym, mode=EXACT)
     assert power_pays(states, f.kappa)
-    assert 2 <= len(list(groupby(f.strategy.prefix))) <= 4
+    assert 2 <= len(f.strategy.runs) <= 4
     assert f.kappa == e.kappa
     assert f.strategy.prefix == e.strategy.prefix
     for name in asym.mdp.states:
@@ -719,8 +721,8 @@ def test_float_runs_match_exact(monkeypatch, discounts, states, seed):
         assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
     # a first window as long as the last run puts the second window's top
     # step where that run's rows are beaten
-    _, last = next(groupby(reversed(e.strategy.prefix)))
-    monkeypatch.setattr(welfare, "_WINDOW_START", len(list(last)))
+    last, _ = e.strategy.runs[-1]
+    monkeypatch.setattr(welfare, "_WINDOW_START", last)
     assert optimize(asym, mode=FLOAT).strategy.prefix == e.strategy.prefix
 
 
@@ -774,8 +776,9 @@ def _fraction_backward_induction(asym, adv, kappa):
 
 
 def _tables(asym, mode):
-    adv = advantages(asym, long_term(asym, mode), mode)
-    return adv, find_kappa(asym, adv, mode=mode)
+    lt = long_term(asym, mode)
+    adv = advantages(asym, lt, mode)
+    return adv, find_kappa(asym, adv, mode=mode), lt.tail
 
 
 BI_MODELS = {
@@ -792,9 +795,9 @@ BI_MODELS = {
 @pytest.mark.parametrize("name", BI_MODELS)
 def test_integer_backward_induction_matches_fraction_recursion(name):
     asym = BI_MODELS[name]()
-    adv, kappa = _tables(asym, EXACT)
-    prefix, gain = _backward_induction(asym, adv, kappa, EXACT)
-    assert (prefix, gain) == _fraction_backward_induction(asym, adv, kappa)
+    adv, kappa, tail = _tables(asym, EXACT)
+    cs, gain = _backward_induction(asym, adv, kappa, tail, EXACT)
+    assert (cs.prefix, gain) == _fraction_backward_induction(asym, adv, kappa)
     assert all(type(x) is Fraction for x in gain)
 
 
@@ -802,12 +805,12 @@ def test_integer_backward_induction_matches_fraction_recursion(name):
 def test_float_backward_induction_matches_exact_badly_spaced(n):
     # kappa 16 to 3,570; from n = 6 on, float mode takes the one-run prefix in closed form
     asym = badly_spaced(n)
-    adv, kappa = _tables(asym, EXACT)
-    fadv, fkappa = _tables(asym, FLOAT)
-    assert fkappa == kappa
-    prefix, gain = _backward_induction(asym, adv, kappa, EXACT)
-    fprefix, fgain = _backward_induction(asym, fadv, fkappa, FLOAT)
-    assert fprefix == prefix
+    adv, kappa, tail = _tables(asym, EXACT)
+    fadv, fkappa, ftail = _tables(asym, FLOAT)
+    assert (fkappa, ftail) == (kappa, tail)
+    cs, gain = _backward_induction(asym, adv, kappa, tail, EXACT)
+    fcs, fgain = _backward_induction(asym, fadv, fkappa, ftail, FLOAT)
+    assert fcs.prefix == cs.prefix
     for got, want in zip(fgain, gain):
         assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
@@ -836,3 +839,27 @@ def test_advantages_reads_edited_restriction(investment):
     lt.restricted[0][:] = [0]  # keep Alice's suboptimal a at s0 instead of b
     with pytest.raises(CertificationError, match=r"retained action \('s0', 'a'\)"):
         advantages(investment, lt, EXACT)
+
+
+def _random_8x3x3(seed):
+    return random_mdp(RandomMdpConfig(8, 3, 3, seed=seed))
+
+
+ROUND_TRIP_CASES = [
+    *((name, builtin, name, mode) for name in BUILTIN_NAMES for mode in (EXACT, FLOAT)),
+    *((f"badly_spaced-{n}", badly_spaced, n, FLOAT) for n in range(2, 21)),
+    *((f"random-8x3x3-{seed}", _random_8x3x3, seed, mode) for seed in range(20) for mode in (EXACT, FLOAT)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, arg, mode",
+    [case[1:] for case in ROUND_TRIP_CASES],
+    ids=[f"{name}-{'exact' if mode.is_exact else 'float'}" for name, _, _, mode in ROUND_TRIP_CASES],
+)
+def test_optimized_runs_are_maximal_and_round_trip(make, arg, mode):
+    asym = make(arg)
+    cs = optimize(asym, mode=mode).strategy
+    assert all(steps >= 1 for steps, _ in cs.runs)
+    assert all(a != b for (_, a), (_, b) in zip(cs.runs, cs.runs[1:]))
+    assert parse_strategy(json.dumps(counting_to_doc(asym, cs)), asym) == cs
