@@ -23,6 +23,13 @@ from .solve import solve_discounted
 from .strategies import CountingStrategy, load_strategy, counting_to_doc, positional_names
 from .welfare import optimize
 
+# Longest counting prefix `eval --exact` evaluates from a strategy file.  Its
+# rationals grow by about log2(1/lam) bits a step, so time grows faster than
+# kappa; at this cap the costliest pattern found on `investment` (one short run
+# per step) takes about 3 s on a 2-core x86 host.  `optimize` certifies its own
+# strategies uncapped.
+EXACT_EVAL_MAX_KAPPA = 100_000
+
 
 def _mode(args) -> NumericMode:
     return EXACT if getattr(args, "exact", False) else FLOAT
@@ -191,6 +198,11 @@ def cmd_eval(args):
     asym = _read_model(args.file, mode)
     strategy = load_strategy(args.strategy, asym)
     if isinstance(strategy, CountingStrategy):
+        if mode.is_exact and strategy.kappa > EXACT_EVAL_MAX_KAPPA:
+            raise MdpwfError(
+                f"kappa {strategy.kappa} exceeds {EXACT_EVAL_MAX_KAPPA}, the longest prefix "
+                "evaluated exactly; evaluate it without --exact"
+            )
         res = eval_counting(asym, strategy, mode)
         label = "start"
     elif isinstance(strategy, list):

@@ -81,20 +81,20 @@ def _counting_values(view, cs, tail_vals):
     playing rows sigma applies the affine map u -> r_sigma + lam * P_sigma u L times.
     When repeated squaring of each principal's (n+1) x (n+1) augmented
     matrix takes fewer multiplications than L sparse steps, the run is one
-    matrix power; otherwise each step is one segment sum of successor
-    values over every row, then a gather of the played rows."""
+    matrix power; otherwise the played rows' successor entries are gathered
+    once and each step is one segment sum of their successor values."""
     n = view.n_states
     u = np.array(tail_vals.per_principal, dtype=view.dtype).T
-    prob = view.succ_prob[:, None]
-    starts = view.succ_ptr[:-1]
     for length, row in reversed(cs.runs):
         played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
         if power_pays(n, length):
             u = _affine_power(view, played, length, u)
             continue
+        src, dst, prob = _entries(view, played)
+        starts, prob = np.searchsorted(src, np.arange(n)), prob[:, None]
+        r = view.rewards[played]
         for _ in range(length):
-            g = np.add.reduceat(prob * u[view.succ_idx], starts)
-            u = view.rewards[played] + view.discounts * g[played]
+            u = r + view.discounts * np.add.reduceat(prob * u[dst], starts)
     return u.T.tolist()
 
 

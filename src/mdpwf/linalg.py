@@ -4,7 +4,8 @@ Policy evaluation solves (I - lam * P_sigma) v = r_sigma.  Both modes
 assemble it from the same successor entries of the row view (`_entries`),
 once per strategy in the caller, and solve it once per principal.
 The matrix is strictly row diagonally dominant for lam < 1, hence
-nonsingular.  Float mode solves it by LAPACK.  Exact mode back-substitutes
+nonsingular.  Float mode solves it by dense LAPACK or by sparse LU
+(`sparse_pays` picks which).  Exact mode back-substitutes
 along a topological order when the policy graph is acyclic apart from self
 loops, and otherwise solves it on integers by p-adic lifting
 (`exact_gauss`), whose result is checked exactly before it is returned.
@@ -20,7 +21,9 @@ import numpy as np
 
 from .errors import MdpwfError
 
-_DENSE_LIMIT = 600
+_DENSE_LIMIT = 256  # sparse_pays: no sparse solve at or below this many states
+_SPARSE_LIMIT = 600  # sparse_pays: always a sparse solve above this many states
+_SPARSE_ENTRIES_PER_STATE = 2.5  # sparse_pays: the densest system sparse above _DENSE_LIMIT
 
 
 def exact_gauss(rows, cols, vals, b):
@@ -194,25 +197,43 @@ def _dense(view, rows):
     return p
 
 
+def sparse_pays(n, nnz):
+    """Whether the policy system over n states with nnz successor entries
+    is cheaper to solve by sparse LU than by dense LAPACK.  Above
+    _SPARSE_LIMIT states always, which also bounds the dense path's n^2
+    memory; above _DENSE_LIMIT when the rows hold at most
+    _SPARSE_ENTRIES_PER_STATE entries on average.  Measured on one thread of
+    a 2-core x86 host, dense solve against the symmetric-mode LU on random
+    policy systems: with (1, 3) successors per row sparse wins from about
+    256 states, with (2, 4) from about 600, with (3, 5) they break even and
+    with (4, 6) dense wins at every size up to 2000."""
+    return n > _SPARSE_LIMIT or (n > _DENSE_LIMIT and nnz <= _SPARSE_ENTRIES_PER_STATE * n)
+
+
 def policy_values_float(view, principal, entries, r):
     """binary64 value vector for one principal of the policy system with
-    successor `entries` and rewards `r`: LAPACK solve, dense up to
-    _DENSE_LIMIT states and sparse above."""
+    successor `entries` and rewards `r`: dense LAPACK solve, or, where
+    `sparse_pays`, SuperLU on one CSC matrix (repeated entries summed) in
+    symmetric mode, which permutes rows as the fill-reducing column order
+    and prefers diagonal pivots.  A symmetric permutation keeps I - lam P
+    strictly row diagonally dominant, and elimination on such a matrix is
+    stable on its diagonal (growth factor at most 2; Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., Thm 9.9)."""
     lam = float(view.discounts[principal])
     n = view.n_states
     src, dst, prob = entries
     data = -lam * prob
-    if n <= _DENSE_LIMIT:
+    if not sparse_pays(n, len(src)):
         a = np.eye(n)
         np.add.at(a, (src, dst), data)
         return np.linalg.solve(a, r)
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
 
-    a = sparse.coo_matrix(
-        (data, (src, dst)), shape=(n, n)
-    ).tocsr() + sparse.identity(n, format="csr")
-    return spsolve(a, r)
+    diag = np.arange(n)
+    rows, cols = np.concatenate([src, diag]), np.concatenate([dst, diag])
+    a = csc_array((np.concatenate([data, np.ones(n)]), (rows, cols)), shape=(n, n))
+    return splu(a, options=dict(SymmetricMode=True)).solve(r)
 
 
 def policy_values_exact(view, principal, entries, r, order):

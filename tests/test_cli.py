@@ -1,12 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import mdpwf
 from mdpwf import dumps, loads
-from mdpwf.cli import main
+from mdpwf.cli import EXACT_EVAL_MAX_KAPPA, main
 
 
 def _write_investment(tmp_path):
@@ -315,20 +319,27 @@ def test_eval_malformed_strategy_names_location(tmp_path, capsys, doc, location)
     assert err.startswith("error:") and location in err
 
 
-@pytest.mark.parametrize("kappa", [10**6, 10**12])
-def test_eval_long_sparse_counting_file_in_small_memory(tmp_path, capsys, kappa):
-    # a file of a few hundred bytes: parsing and evaluating it must not take
-    # memory (or time) that grows with kappa
-    path = _write_investment(tmp_path)
+def _write_sparse_counting(tmp_path, kappa):
+    """An investment counting file of a few hundred bytes: one prefix record
+    at step kappa // 2, the tail everywhere else."""
     strat = tmp_path / "s.json"
     strat.write_text(json.dumps({
         "type": "counting", "kappa": kappa,
         "prefix": [{"step": kappa // 2, "state": "s0", "action": "a"}],
         "tail": [{"state": "s0", "action": "b"}, {"state": "s1", "action": "b"}],
     }))
+    return str(strat)
+
+
+@pytest.mark.parametrize("kappa", [10**6, 10**12])
+def test_eval_long_sparse_counting_file_in_small_memory(tmp_path, capsys, kappa):
+    # a file of a few hundred bytes: parsing and evaluating it must not take
+    # memory (or time) that grows with kappa
+    path = _write_investment(tmp_path)
+    strat = _write_sparse_counting(tmp_path, kappa)
     tracemalloc.start()
     try:
-        assert main(["eval", path, "--strategy", str(strat)]) == 0
+        assert main(["eval", path, "--strategy", strat]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,6 +348,34 @@ def test_eval_long_sparse_counting_file_in_small_memory(tmp_path, capsys, kappa)
         "start s0: per principal (11, 2); SW 13",
         "start s1: per principal (18, 9); SW 27",
     ]
+
+
+def test_eval_exact_refuses_huge_kappa_file(tmp_path):
+    # exact evaluation of kappa = 10^12 would square rationals of ever more
+    # bits without bound; the child process and its timeout keep an uncapped
+    # run from hanging the suite
+    path = _write_investment(tmp_path)
+    strat = _write_sparse_counting(tmp_path, 10**12)
+    env = {**os.environ, "PYTHONPATH": str(Path(mdpwf.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdpwf", "eval", path, "--strategy", strat, "--exact"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"kappa {10**12} exceeds {EXACT_EVAL_MAX_KAPPA}" in proc.stderr
+
+
+def test_eval_exact_counting_cap_is_inclusive(tmp_path, capsys):
+    path = _write_investment(tmp_path)
+    at_cap = _write_sparse_counting(tmp_path, EXACT_EVAL_MAX_KAPPA)
+    assert main(["eval", path, "--strategy", at_cap, "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "start s0: per principal (11, 2); SW 13",
+        "start s1: per principal (18, 9); SW 27",
+    ]
+    over = _write_sparse_counting(tmp_path, EXACT_EVAL_MAX_KAPPA + 1)
+    assert main(["eval", path, "--strategy", over, "--exact"]) == 1
+    assert "evaluate it without --exact" in capsys.readouterr().err
 
 
 def test_solve_cli(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The lifted cyclic solver `exact_gauss` against a plain `Fraction`
-Gaussian elimination kept here as the reference."""
+Gaussian elimination kept here as the reference, and the float solve's
+sparse path against its dense one."""
 
 from fractions import Fraction
 
@@ -9,8 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mdpwf.linalg
-from mdpwf import EXACT, MdpwfError, RandomMdpConfig, random_mdp
-from mdpwf.linalg import _entries, _prime_below, exact_gauss, topo_order
+from mdpwf import EXACT, FLOAT, MdpwfError, RandomMdpConfig, random_mdp
+from mdpwf.evaluate import eval_stationary_mixed
+from mdpwf.linalg import _entries, _prime_below, exact_gauss, policy_values_float, sparse_pays, topo_order
+from mdpwf.numeric import PI_IMPROVEMENT_TOL
+from mdpwf.strategies import MixedStationaryStrategy
+from mdpwf.welfare import optimize
 
 
 def fraction_gauss(n, rows, cols, vals, b):
@@ -137,3 +142,68 @@ def test_failed_check_raises(monkeypatch):
     system = ([0, 0, 1, 1], [0, 1, 0, 1], [1, Fraction(-1, 2), Fraction(-1, 3), 1], [1, 2])
     with pytest.raises(MdpwfError, match="exact check"):
         exact_gauss(*system)
+
+
+def _both_paths(monkeypatch, solve):
+    """solve() with the float solve forced onto the sparse path, then onto
+    the dense one."""
+    out = []
+    for sparse in (True, False):
+        monkeypatch.setattr(mdpwf.linalg, "sparse_pays", lambda n, nnz, sparse=sparse: sparse)
+        out.append(solve())
+    return out
+
+
+def _close(got, want):
+    """Agreement within the margin policy iteration switches on, relative to
+    max(1, max|want|)."""
+    want = np.asarray(want)
+    return np.max(np.abs(np.asarray(got) - want)) <= PI_IMPROVEMENT_TOL * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("lam", [Fraction(9, 10), Fraction(99, 100)])
+@pytest.mark.parametrize("successors", [(1, 3), (4, 6)])
+@pytest.mark.parametrize("n", [256, 257, 600, 601])
+def test_sparse_solve_matches_dense_at_the_switch(monkeypatch, n, successors, lam):
+    asym = random_mdp(
+        RandomMdpConfig(num_states=n, successors=successors, discounts=[lam, Fraction(1, 10)], seed=n)
+    )
+    view = asym.float_view(FLOAT)
+    rows = view.row_ptr[:-1]
+    entries, r = _entries(view, rows), view.rewards[rows, 0]
+    # the measured switch: sparse above 600 states, and above 256 for about
+    # two successors a row but not for five
+    assert sparse_pays(n, len(entries[0])) == (n > 600 or (n > 256 and successors == (1, 3)))
+    sparse, dense = _both_paths(monkeypatch, lambda: policy_values_float(view, 0, entries, r))
+    a = np.eye(n)
+    np.add.at(a, entries[:2], -float(lam) * entries[2])
+    for v in (sparse, dense):
+        assert _close(a @ v, r)
+    assert _close(sparse, dense)
+
+
+def test_sparse_solve_sums_repeated_entries(monkeypatch):
+    # mixing two actions that share a successor repeats (state, successor)
+    # pairs among the entries; the CSC build must add them up
+    n = 300
+    asym = random_mdp(RandomMdpConfig(num_states=n, seed=0))
+    strategy = MixedStationaryStrategy([[Fraction(1, 2), Fraction(1, 2)]] * n)
+    view = asym.float_view(FLOAT)
+    src, dst, _ = _entries(view, np.arange(view.n_rows), np.full(view.n_rows, 0.5))
+    assert len(set(zip(src.tolist(), dst.tolist()))) < len(src)
+    sparse, dense = _both_paths(monkeypatch, lambda: eval_stationary_mixed(asym, strategy))
+    for got, want in zip(sparse.per_principal, dense.per_principal):
+        assert _close(got, want)
+
+
+def test_float_optimize_same_on_either_path(monkeypatch):
+    asym = random_mdp(RandomMdpConfig(num_states=300, seed=0))
+    view = asym.float_view(FLOAT)
+    assert sparse_pays(300, len(_entries(view, view.row_ptr[:-1])[0]))
+    sparse = optimize(asym, mode=FLOAT)
+    monkeypatch.setattr(mdpwf.linalg, "_DENSE_LIMIT", 600)
+    dense = optimize(asym, mode=FLOAT)
+    assert sparse.kappa == dense.kappa > 0
+    assert sparse.long_term.restricted == dense.long_term.restricted
+    assert sparse.strategy.tail == dense.strategy.tail
+    assert sparse.strategy.runs == dense.strategy.runs
