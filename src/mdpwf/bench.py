@@ -49,8 +49,7 @@ class BenchRow:
     error: str | None = None
 
 
-def _run_spec(spec) -> BenchRow:
-    cfg, mode = spec
+def _run_spec(cfg) -> BenchRow:
     row = BenchRow(
         states=cfg.num_states,
         actions=cfg.actions_per_state,
@@ -63,8 +62,8 @@ def _run_spec(spec) -> BenchRow:
         if len(lams) >= 2:
             row.discount_ratio = float(lams[0] / lams[1])
         asym = random_mdp(cfg)
-        optimize(asym, mode=mode)  # warm-up run, timing discarded
-        result = optimize(asym, mode=mode)
+        optimize(asym)  # warm-up run, timing discarded
+        result = optimize(asym)
     except MdpwfError as e:
         row.error = str(e)
         return row
@@ -76,61 +75,48 @@ def _run_spec(spec) -> BenchRow:
     return row
 
 
-def _study(cfgs, mode, workers, key, rejected=()):
-    """Optimize every config (in worker processes when there are several),
-    then sort its rows and the `rejected` ones by (`key` attribute, seed)."""
-    specs = [(cfg, mode) for cfg in cfgs]
+def _study(cfgs, workers, key, rejected=()):
+    """Optimize every config in float mode (in worker processes when there
+    are several), then sort its rows and the `rejected` ones by (`key`
+    attribute, seed)."""
     workers = worker_count() if workers is None else workers
-    if workers <= 1 or len(specs) <= 1:
-        rows = [_run_spec(s) for s in specs]
+    if workers <= 1 or len(cfgs) <= 1:
+        rows = [_run_spec(cfg) for cfg in cfgs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_spec, specs))
+            rows = list(pool.map(_run_spec, cfgs))
     return sorted([*rows, *rejected], key=lambda r: (getattr(r, key), r.seed))
 
 
-def run_rq1(
-    states=None,
-    actions: int = 2,
-    principals: int = 2,
-    discounts=(Fraction(9, 10), Fraction(3, 10)),
-    seeds=(0,),
-    mode: NumericMode = FLOAT,
-    workers=None,
-):
-    """Scaling in the number of states on two-principal random instances."""
+def run_rq1(states=None, seeds=(0,), workers=None):
+    """Scaling in the number of states on random instances with two actions
+    per state and two principals, discounts 9/10 and 3/10."""
     if states is None:
         states = DEFAULT_RQ1_STATES
     cfgs = [
         RandomMdpConfig(
             num_states=n,
-            actions_per_state=actions,
-            num_principals=principals,
-            discounts=list(discounts),
+            actions_per_state=2,
+            num_principals=2,
+            discounts=[Fraction(9, 10), Fraction(3, 10)],
             seed=seed,
         )
         for n in states
         for seed in seeds
     ]
-    return _study(cfgs, mode, workers, "states")
+    return _study(cfgs, workers, "states")
 
 
-def run_rq2(
-    principals=None,
-    states: int = 30,
-    actions: int = 2,
-    seeds=(0,),
-    mode: NumericMode = FLOAT,
-    workers=None,
-):
-    """Scaling in the number of principals; discounts follow the arithmetic
-    progression from 0.99 down to 0.05."""
+def run_rq2(principals=None, states: int = 30, seeds=(0,), workers=None):
+    """Scaling in the number of principals on random instances with two
+    actions per state; discounts follow the arithmetic progression from
+    0.99 down to 0.05."""
     if principals is None:
         principals = DEFAULT_RQ2_PRINCIPALS
     cfgs = [
         RandomMdpConfig(
             num_states=states,
-            actions_per_state=actions,
+            actions_per_state=2,
             num_principals=p,
             discounts=None,
             seed=seed,
@@ -138,22 +124,15 @@ def run_rq2(
         for p in principals
         for seed in seeds
     ]
-    return _study(cfgs, mode, workers, "principals")
+    return _study(cfgs, workers, "principals")
 
 
-def run_rq3(
-    ratios=None,
-    states: int = 30,
-    actions: int = 2,
-    lam0=Fraction(9, 10),
-    seeds=(0,),
-    mode: NumericMode = FLOAT,
-    workers=None,
-):
-    """Scaling in the discount-factor ratio lam0/lam1, lam0 held fixed."""
+def run_rq3(ratios=None, states: int = 30, seeds=(0,), workers=None):
+    """Scaling in the discount-factor ratio lam0/lam1 on random instances
+    with two actions per state, lam0 held at 9/10."""
     if ratios is None:
         ratios = DEFAULT_RQ3_RATIOS
-    lam0 = as_fraction(lam0)
+    lam0 = Fraction(9, 10)
     cfgs = []
     rejected = []
     for ratio in ratios:
@@ -164,7 +143,7 @@ def run_rq3(
                 rejected.append(
                     BenchRow(
                         states=states,
-                        actions=actions,
+                        actions=2,
                         principals=2,
                         discount_ratio=float(r),
                         seed=seed,
@@ -175,13 +154,13 @@ def run_rq3(
             cfgs.append(
                 RandomMdpConfig(
                     num_states=states,
-                    actions_per_state=actions,
+                    actions_per_state=2,
                     num_principals=2,
                     discounts=[lam0, lam1],
                     seed=seed,
                 )
             )
-    return _study(cfgs, mode, workers, "discount_ratio", rejected)
+    return _study(cfgs, workers, "discount_ratio", rejected)
 
 
 def _fmt(x):

@@ -107,7 +107,7 @@ def cmd_solve(args):
             f"principal index {args.principal} out of range (model has "
             f"{asym.n_principals})"
         )
-    result = solve_discounted(asym, args.principal, mode=mode, method=args.method)
+    result = solve_discounted(asym, args.principal, mode=mode)
     p = asym.principals[args.principal]
     rows = [
         (
@@ -150,8 +150,7 @@ def _report_doc(rep, mode):
 def cmd_optimize(args):
     mode = _mode(args)
     asym = _read_model(args.file, mode)
-    slack = as_fraction(args.slack) if args.slack is not None else None
-    result = optimize(asym, mode=mode, slack=slack, max_kappa=args.max_kappa)
+    result = optimize(asym, mode=mode, max_kappa=args.max_kappa)
     starts = [args.start] if args.start else list(asym.mdp.states)
     for s in starts:
         if s not in result.reports:
@@ -408,7 +407,6 @@ def build_parser():
     sp = sub.add_parser("solve", help="single-principal optimal values")
     sp.add_argument("file")
     sp.add_argument("--principal", type=int, required=True)
-    sp.add_argument("--method", choices=["pi", "vi"], default="pi")
     sp.add_argument("--csv")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
@@ -416,7 +414,6 @@ def build_parser():
     sp = sub.add_parser("optimize", help="welfare-optimal counting strategy")
     sp.add_argument("file")
     sp.add_argument("--start")
-    sp.add_argument("--slack")
     sp.add_argument("--max-kappa", type=int, default=10**7, dest="max_kappa")
     sp.add_argument("--out", help="write the strategy file here")
     sp.add_argument("--csv", help="write the per-state report here")

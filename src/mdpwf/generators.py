@@ -131,6 +131,9 @@ def badly_spaced(n: int) -> AsymMdp:
 
 _REWARD_GRID = 1000  # rewards land on the 1/1000 rational grid
 _WEIGHT_MAX = 2**20
+# a config that lists no discounts gets the arithmetic progression from HI down to LO
+_PROGRESSION_HI = Fraction(99, 100)
+_PROGRESSION_LO = Fraction(5, 100)
 
 
 @dataclass
@@ -139,8 +142,6 @@ class RandomMdpConfig:
     actions_per_state: int = 2
     num_principals: int = 2
     discounts: list | None = None  # explicit list; None selects the progression
-    progression_hi: Fraction = Fraction(99, 100)
-    progression_lo: Fraction = Fraction(5, 100)
     successors: tuple = (1, 3)
     reward_range: tuple = (-10, 10)
     seed: int = 0
@@ -151,10 +152,10 @@ class RandomMdpConfig:
         else:
             n = self.num_principals
             if n == 1:
-                lams = [self.progression_hi]
+                lams = [_PROGRESSION_HI]
             else:
-                step = (self.progression_hi - self.progression_lo) / (n - 1)
-                lams = [self.progression_hi - i * step for i in range(n)]
+                step = (_PROGRESSION_HI - _PROGRESSION_LO) / (n - 1)
+                lams = [_PROGRESSION_HI - i * step for i in range(n)]
         if len(lams) != self.num_principals:
             raise ValueError("discount list length must match num_principals")
         for a, b in zip(lams, lams[1:]):

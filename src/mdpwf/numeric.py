@@ -9,6 +9,7 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,9 @@ TIE_TOL = 1e-9  # optimal_action_set keeps q(s, a) >= v(s) - TIE_TOL
 PI_IMPROVEMENT_TOL = 1e-12  # policy iteration switches on a gain above this, rel max|v|
 ADVANTAGE_ZERO_TOL = 1e-7  # advantages clamps |delta| up to this to 0, rel max|V|
 DECOMPOSITION_TOL = 1e-6  # optimize checks SW = baseline + gain within this, rel |SW|
-KAPPA_SLACK = 1e-12  # find_kappa's default slack: every prefix sum <= this
+KAPPA_SLACK = 1e-12  # find_kappa's slack: every prefix sum <= this
 ROW_SUM_TOL = 1e-12  # probability rows and action distributions sum to 1 within this
 PRESCREEN_TOL = 1e-9  # threshold oracle passes float welfare this far short, rel |threshold|
-VI_TOL = 1e-9  # value iteration stops at a residual below VI_TOL (1 - lam) / (2 lam)
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,22 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _digits(n: int) -> str:
+    """Decimal text of n.  `str` refuses integers past the interpreter's
+    int-to-str digit limit, which stays in force because it also guards the
+    parsing of model and strategy files; `Decimal` writes them."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_fraction(q: Fraction) -> str:
-    """Canonical text form: plain integer or 'p/q'."""
+    """Canonical text form: plain integer or 'p/q', of any size."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def number_for_json(value, mode: NumericMode):

@@ -12,9 +12,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
 from .model import AsymMdp
-from .numeric import FLOAT, PI_IMPROVEMENT_TOL, TIE_TOL, VI_TOL, NumericMode
-
-VI_MAX_SWEEPS = 1_000_000
+from .numeric import FLOAT, PI_IMPROVEMENT_TOL, TIE_TOL, NumericMode, format_fraction
 
 
 @dataclass(eq=False)
@@ -57,30 +55,21 @@ def solve_discounted(
     asym: AsymMdp,
     principal: int,
     mode: NumericMode = FLOAT,
-    method: str = "pi",
     restriction=None,
 ) -> SolveResult:
-    """Optimal discounted values for one principal.
+    """Optimal discounted values for one principal, by policy iteration
+    with exact per-policy solves.
 
     `restriction` lists the allowed local action indices of every state
     (None allows all); the order within a list does not matter, and ties
-    go to the lowest allowed index.  `method` is "pi" (policy iteration
-    with exact per-policy solves) or "vi" (value iteration, float mode
-    only, stopping when the sup-norm residual drops below
-    VI_TOL * (1 - lam) / (2 lam)), at most VI_MAX_SWEEPS sweeps.
+    go to the lowest allowed index.
     """
     view = asym.float_view(mode)
     mask = _row_mask(asym, view, restriction)
     lam = asym.discounts[principal]
     if not 0 < lam < 1:
         raise ValueError("discount factor must lie in (0, 1)")
-    if method == "pi":
-        return _policy_iteration(view, principal, mask, mode)
-    if method == "vi":
-        if mode.is_exact:
-            raise ValueError("value iteration requires float mode (exact mode has tolerance 0)")
-        return _value_iteration_float(view, principal, mask)
-    raise ValueError(f"unknown method {method!r}")
+    return _policy_iteration(view, principal, mask, mode)
 
 
 def optimal_action_set(
@@ -103,15 +92,16 @@ def optimal_action_set(
     if not all(sets):
         s = sets.index([])
         best, _ = _masked_max(view, q.q, q.allowed)
+        gap = v[s] - best.item(s)
         raise ConvergenceError(
             f"empty optimal action set at state {asym.mdp.states[s]!r}: "
-            f"v(s) - max allowed q(s, a) = {v[s] - best.item(s)} against tie "
-            f"tolerance {0 if mode.is_exact else TIE_TOL}; solver tolerance too tight"
+            f"v(s) - max allowed q(s, a) = {format_fraction(gap) if mode.is_exact else gap} "
+            f"against tie tolerance {0 if mode.is_exact else TIE_TOL}; solver tolerance too tight"
         )
     return sets
 
 
-# -- back-ends ---------------------------------------------------------------
+# -- policy iteration --------------------------------------------------------
 
 
 def _one_step_all_rows(view, principal, lam, v):
@@ -158,25 +148,3 @@ def _policy_iteration(view, principal, mask, mode):
             return SolveResult(values=v, q=QTable(q, mask), strategy=sigma.tolist())
         sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")
-
-
-def _value_iteration_float(view, principal, mask):
-    lam = float(view.discounts[principal])
-    target = VI_TOL * (1 - lam) / (2 * lam)
-    v = np.zeros(view.n_states)
-    for _ in range(VI_MAX_SWEEPS):
-        q = _one_step_all_rows(view, principal, lam, v)
-        v_new, _ = _masked_max(view, q, mask)
-        resid = float(np.max(np.abs(v_new - v), initial=0.0))
-        v = v_new
-        if resid < target:
-            break
-    else:
-        raise ConvergenceError(
-            f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps"
-        )
-    q = _one_step_all_rows(view, principal, lam, v)
-    # report v consistent with the final q table: v(s) = max_a q(s, a)
-    v, masked = _masked_max(view, q, mask)
-    sigma = _lowest_actions(view, masked == v[view.row_state])
-    return SolveResult(values=v, q=QTable(q, mask), strategy=sigma.tolist())

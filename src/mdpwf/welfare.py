@@ -21,7 +21,7 @@ from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
 from .linalg import _dense, _scaled, power_pays
 from .model import AsymMdp, _order_violations
-from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode
+from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode, format_fraction
 from .solve import _row_mask, optimal_action_set, solve_discounted
 from .strategies import CountingStrategy
 
@@ -108,7 +108,7 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
     if bad.any():
         r = int(bad.argmax())
         pair, i = adv.names(r), int(lead[r])
-        value = delta[r].tolist()[i]
+        value = format_fraction(delta[r, i]) if mode.is_exact else delta[r].tolist()[i]
         raise CertificationError(
             f"retained action {pair!r} has nonzero advantage for principal {i}: {value}"
             if kept[r]
@@ -120,12 +120,12 @@ def advantages(asym: AsymMdp, lt: LongTermResult, mode: NumericMode = FLOAT) -> 
 def find_kappa(
     asym: AsymMdp,
     adv: AdvantageTable,
-    slack=None,
     max_kappa: int = 10**7,
     mode: NumericMode = FLOAT,
 ) -> int:
-    """Least j at which every advantage prefix sum is below `slack`,
-    simultaneously for all (s, a).
+    """Least j at which every advantage prefix sum is at most the mode's
+    slack (0 exactly, KAPPA_SLACK in float mode), simultaneously for all
+    (s, a).
 
     Each nonzero row is rescaled by its leading discount power, so at depth
     j it reads u * rho^j in closed form, rho = lam / lam_lead, and the test
@@ -136,10 +136,7 @@ def find_kappa(
     binary search finds it: about 2 log2(kappa) tests (Bentley & Yao,
     "An almost optimal algorithm for unbounded searching", IPL 5(3), 1976).
     """
-    if slack is None:
-        slack = mode.default_slack
-    if not mode.is_exact:
-        slack = float(slack)
+    slack = mode.default_slack
     rows = (adv.lead >= 0).nonzero()[0]
     u = adv.delta[rows]
     if (u.cumsum(axis=1) <= slack).all():
@@ -367,7 +364,6 @@ def _integer_terms(view, delta, kappa):
 def optimize(
     asym: AsymMdp,
     mode: NumericMode = FLOAT,
-    slack=None,
     max_kappa: int = 10**7,
 ) -> OptimizeResult:
     """Synthesize the welfare-optimal counting strategy and its report.
@@ -377,7 +373,7 @@ def optimize(
     lt = long_term(asym, mode=mode)
     t1 = time.perf_counter()
     adv = advantages(asym, lt, mode=mode)
-    kappa = find_kappa(asym, adv, slack=slack, max_kappa=max_kappa, mode=mode)
+    kappa = find_kappa(asym, adv, max_kappa=max_kappa, mode=mode)
     bound = kappa_estimate(asym, adv, mode=mode)
     cs, gain = _backward_induction(asym, adv, kappa, lt.tail, mode)
     payoffs = eval_counting(asym, cs, mode)
@@ -413,7 +409,7 @@ def _check_decomposition(mode, sw, baseline, gain, state):
         if sw != baseline + gain:
             raise CertificationError(
                 f"welfare decomposition failed at state {state!r}: "
-                f"{sw} != {baseline} + {gain}"
+                f"{format_fraction(sw)} != {format_fraction(baseline)} + {format_fraction(gain)}"
             )
     else:
         scale = max(1.0, abs(float(sw)))

@@ -364,7 +364,7 @@ def test_criterion_10_scaling_smoke():
     res = optimize(asym, mode=FLOAT)
     elapsed = time.perf_counter() - t0
     ratios = [1.32 * (16 / 1.32) ** (i / 11) for i in range(12)]
-    rows = run_rq3(ratios=ratios, states=30, actions=2, seeds=(0,), workers=1)
+    rows = run_rq3(ratios=ratios, states=30, seeds=(0,), workers=1)
     ks = [r.kappa for r in rows if r.error is None]
     _criterion(
         10,

@@ -137,6 +137,17 @@ def test_optimize_csv_and_strategy_file_bytes(tmp_path, capsys):
     ) + "\n"
 
 
+def test_optimize_exact_writes_welfare_past_int_digit_limit(tmp_path, capsys):
+    path = str(tmp_path / "b15.json")
+    assert main(["gen", "b1", "--n", "15", "--out", path]) == 0
+    assert main(["optimize", path, "--exact", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kappa"] == 1886
+    numerator, denominator = doc["reports"]["P0"]["social_welfare"].split("/")
+    assert len(numerator) > 4300 and numerator.isdigit()  # the default int-to-str limit
+    assert denominator.isdigit()
+
+
 @pytest.mark.parametrize(
     "command", ["validate", "optimize", "solve", "eval", "oracle", "oracle-auto"]
 )
@@ -405,6 +416,72 @@ def test_solve_exact_json(tmp_path, capsys, principal, values, strategy):
     assert doc["strategy"] == strategy
 
 
+SOLVE_FLOAT_PINS = {
+    ("investment", 0): (
+        "principal 0 (Alice, discount 0.666666666667)\n"
+        "state  value  action\n"
+        "s0        11  b\n"
+        "s1        18  b\n",
+        {"name": "Alice", "discount": 0.6666666666666666,
+         "values": {"s0": 10.999999999999996, "s1": 17.999999999999996},
+         "strategy": {"s0": "b", "s1": "b"}},
+        ["s0,11,b", "s1,18,b"],
+    ),
+    ("investment", 1): (
+        "principal 1 (Bob, discount 0.333333333333)\n"
+        "state  value  action\n"
+        "s0       4.5  a\n"
+        "s1         9  b\n",
+        {"name": "Bob", "discount": 0.3333333333333333,
+         "values": {"s0": 4.499999999999999, "s1": 8.999999999999998},
+         "strategy": {"s0": "a", "s1": "b"}},
+        ["s0,4.5,a", "s1,9,b"],
+    ),
+    ("appendix_ex2", 0): (
+        "principal 0 (P0, discount 0.9)\n"
+        "state          value  action\n"
+        "s0     19.5652173913  b\n"
+        "s1     19.5543478261  d\n"
+        "s2                10  e\n"
+        "s3                25  f\n",
+        {"name": "P0", "discount": 0.9,
+         "values": {"s0": 19.56521739130436, "s1": 19.554347826086964,
+                    "s2": 10.000000000000002, "s3": 25.000000000000007},
+         "strategy": {"s0": "b", "s1": "d", "s2": "e", "s3": "f"}},
+        ["s0,19.5652173913,b", "s1,19.5543478261,d", "s2,10,e", "s3,25,f"],
+    ),
+    ("appendix_ex2", 1): (
+        "principal 1 (P1, discount 0.3)\n"
+        "state          value  action\n"
+        "s0     3.54003139717  a\n"
+        "s1     3.83830455259  c\n"
+        "s2     1.42857142857  e\n"
+        "s3     3.57142857143  f\n",
+        {"name": "P1", "discount": 0.3,
+         "values": {"s0": 3.5400313971742543, "s1": 3.838304552590267,
+                    "s2": 1.4285714285714286, "s3": 3.5714285714285716},
+         "strategy": {"s0": "a", "s1": "c", "s2": "e", "s3": "f"}},
+        ["s0,3.54003139717,a", "s1,3.83830455259,c", "s2,1.42857142857,e", "s3,3.57142857143,f"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, principal", SOLVE_FLOAT_PINS, ids=[f"{n}-{p}" for n, p in SOLVE_FLOAT_PINS])
+def test_solve_float_output_bytes(tmp_path, capsys, name, principal):
+    from mdpwf import builtin
+
+    text, doc, csv_rows = SOLVE_FLOAT_PINS[name, principal]
+    path = tmp_path / "model.json"
+    path.write_text(dumps(builtin(name)))
+    csv_path = tmp_path / "values.csv"
+    args = ["solve", str(path), "--principal", str(principal)]
+    assert main([*args, "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == text
+    assert csv_path.read_bytes() == "".join(f"{r}\r\n" for r in ["state,value,action", *csv_rows]).encode()
+    assert main([*args, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps({"principal": principal, **doc}, indent=2) + "\n"
+
+
 def test_spacing_cli(tmp_path, capsys):
     path = _write_investment(tmp_path)
     assert main(["spacing", path, "--bound", "10", "--json"]) == 0
@@ -499,8 +576,6 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     path = _write_investment(tmp_path)
     assert main(["solve", path, "--principal", "7"]) == 1
     assert "out of range" in capsys.readouterr().err
-    assert main(["solve", path, "--principal", "0", "--method", "vi", "--exact"]) == 1
-    assert "value iteration" in capsys.readouterr().err
     assert main(["oracle", path, "--start", "nowhere"]) == 1
     assert "unknown state" in capsys.readouterr().err
     assert main(["oracle", path, "--mode", "counting"]) == 1

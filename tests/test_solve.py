@@ -17,7 +17,6 @@ from mdpwf import (
     random_mdp,
     solve_discounted,
 )
-from mdpwf.numeric import VI_TOL
 
 
 def _q(asym, res, s, a):
@@ -78,24 +77,9 @@ def test_float_tie_tolerance_keeps_near_ties():
     assert sets[0] == [0, 1]
 
 
-def test_vi_requires_float_mode(investment):
-    with pytest.raises(ValueError):
-        solve_discounted(investment, 0, mode=EXACT, method="vi")
-
-
 def test_empty_restriction_rejected(investment):
     with pytest.raises(ValueError):
         solve_discounted(investment, 0, restriction=[[], [0]])
-
-
-def _bellman_residual(asym, res, restriction=None):
-    # max_a q(s, a) must reproduce v(s)
-    worst = 0.0
-    for s in range(asym.n_states):
-        allowed = range(len(asym.mdp.actions[s])) if restriction is None else restriction[s]
-        best = max(float(_q(asym, res, s, a)) for a in allowed)
-        worst = max(worst, abs(best - float(res.values[s])))
-    return worst
 
 
 def test_exact_bellman_residual_zero(investment):
@@ -107,8 +91,11 @@ def test_exact_bellman_residual_zero(investment):
         assert best == res.values[s]
 
 
-def test_pi_vi_agree_on_seeded_instances():
-    worst = 0.0
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_values_satisfy_bellman_optimality_on_seeded_instances(mode):
+    """v = max_a [r + lam P v] has one solution, the optimal values; the
+    right side is formed here from the model's own transitions and rewards,
+    not from the solver's view or q-table."""
     for seed in range(100):
         cfg = RandomMdpConfig(
             num_states=3 + seed % 8,
@@ -118,15 +105,19 @@ def test_pi_vi_agree_on_seeded_instances():
             seed=seed,
         )
         asym = random_mdp(cfg)
-        for i in range(2):
-            pi = solve_discounted(asym, i, mode=FLOAT, method="pi")
-            vi = solve_discounted(asym, i, mode=FLOAT, method="vi")
-            gap = float(
-                np.max(np.abs(np.asarray(pi.values) - np.asarray(vi.values)))
-            )
-            worst = max(worst, gap)
-            assert _bellman_residual(asym, pi) < 1e-8
-    assert worst < 2 * VI_TOL
+        for i, lam in enumerate(asym.discounts):
+            v = solve_discounted(asym, i, mode=mode).values
+            if not mode.is_exact:
+                lam, v = float(lam), v.tolist()
+            for s, moves in enumerate(asym.mdp.transitions):
+                best = max(
+                    asym.rewards[s][a][i] + lam * sum(p * v[t] for t, p in succ)
+                    for a, succ in enumerate(moves)
+                )
+                if mode.is_exact:
+                    assert best == v[s]
+                else:
+                    assert abs(float(best) - v[s]) <= 1e-9 * max(1.0, abs(v[s]))
 
 
 def test_returned_strategy_evaluates_to_values():
@@ -139,7 +130,7 @@ def test_returned_strategy_evaluates_to_values():
             seed=seed,
         )
         asym = random_mdp(cfg)
-        res = solve_discounted(asym, 0, mode=FLOAT, method="pi")
+        res = solve_discounted(asym, 0, mode=FLOAT)
         ev = eval_positional(asym, res.strategy, FLOAT)
         gap = np.max(
             np.abs(np.asarray(ev.per_principal[0]) - np.asarray(res.values))
@@ -154,13 +145,12 @@ def test_exact_strategy_evaluates_to_values(investment):
 
 
 SOLVERS = [
-    pytest.param(EXACT, "pi", id="pi-exact"),
-    pytest.param(FLOAT, "pi", id="pi-float"),
-    pytest.param(FLOAT, "vi", id="vi-float"),
+    pytest.param(EXACT, id="pi-exact"),
+    pytest.param(FLOAT, id="pi-float"),
 ]
 
 
-@pytest.mark.parametrize("mode, method", SOLVERS)
+@pytest.mark.parametrize("mode", SOLVERS)
 @pytest.mark.parametrize(
     "restriction, message",
     [
@@ -171,9 +161,9 @@ SOLVERS = [
         ([[0], [0], [0]], "3 entries for 2 states"),
     ],
 )
-def test_bad_restriction_rejected(investment, restriction, message, mode, method):
+def test_bad_restriction_rejected(investment, restriction, message, mode):
     with pytest.raises(ValueError, match=message):
-        solve_discounted(investment, 0, mode=mode, method=method, restriction=restriction)
+        solve_discounted(investment, 0, mode=mode, restriction=restriction)
 
 
 def test_q_value_outside_restriction_raises(investment):
@@ -215,14 +205,14 @@ def _tie_model():
     )
 
 
-@pytest.mark.parametrize("mode, method", SOLVERS)
-def test_strategy_takes_lowest_allowed_index_among_ties(mode, method):
+@pytest.mark.parametrize("mode", SOLVERS)
+def test_strategy_takes_lowest_allowed_index_among_ties(mode):
     asym = _tie_model()
-    res = solve_discounted(asym, 0, mode=mode, method=method, restriction=[[0, 1, 2, 3], [1, 2]])
+    res = solve_discounted(asym, 0, mode=mode, restriction=[[0, 1, 2, 3], [1, 2]])
     assert res.strategy == [1, 1]
     assert _q(asym, res, 0, 1) == _q(asym, res, 0, 3)
     assert float(res.values[0]) == pytest.approx(6)
-    full = solve_discounted(asym, 0, mode=mode, method=method)
+    full = solve_discounted(asym, 0, mode=mode)
     assert full.strategy == [4, 0]
 
 
@@ -248,24 +238,24 @@ def test_optimal_action_set_matches_loop_over_q(mode):
         assert all(a in sets[s] for s, a in enumerate(low.strategy))
 
 
-@pytest.mark.parametrize("mode, method", SOLVERS)
-def test_ties_ignore_restriction_list_order(mode, method):
+@pytest.mark.parametrize("mode", SOLVERS)
+def test_ties_ignore_restriction_list_order(mode):
     res = solve_discounted(
-        _tie_model(), 0, mode=mode, method=method, restriction=[[3, 2, 1, 0], [2, 1]]
+        _tie_model(), 0, mode=mode, restriction=[[3, 2, 1, 0], [2, 1]]
     )
     assert res.strategy == [1, 1]
 
 
-@pytest.mark.parametrize("mode, method", SOLVERS)
-def test_edited_optimal_sets_are_honoured(investment, mode, method):
+@pytest.mark.parametrize("mode", SOLVERS)
+def test_edited_optimal_sets_are_honoured(investment, mode):
     top = solve_discounted(investment, 0, mode=mode)
     sets = optimal_action_set(investment, top.q, top.values, mode=mode)
     assert sets == [[1], [0]]
     sets[0].remove(1)
     with pytest.raises(ValueError, match="state 's0'"):
-        solve_discounted(investment, 1, mode=mode, method=method, restriction=sets)
+        solve_discounted(investment, 1, mode=mode, restriction=sets)
     sets[0].append(0)  # s0 may now play only a
-    res = solve_discounted(investment, 1, mode=mode, method=method, restriction=sets)
+    res = solve_discounted(investment, 1, mode=mode, restriction=sets)
     assert res.strategy == [0, 0]
     assert res.q.allowed.tolist() == [True, False, True]
 

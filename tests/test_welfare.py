@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from mdpwf import (
     CertificationError,
     ConvergenceError,
     HorizonExceededError,
+    Mdp,
     RandomMdpConfig,
     advantages,
     badly_spaced,
@@ -407,8 +409,8 @@ def test_model_without_states(mode):
     res = optimize(empty, mode=mode)
     assert res.kappa == 0
     assert res.reports == {}
-    vi = solve_discounted(empty, 0, mode=FLOAT, method="vi")
-    assert len(vi.values) == 0 and vi.strategy == []
+    pi = solve_discounted(empty, 0, mode=mode)
+    assert len(pi.values) == 0 and pi.strategy == []
 
 
 def test_optimize_investment_exact(investment):
@@ -863,3 +865,60 @@ def test_optimized_runs_are_maximal_and_round_trip(make, arg, mode):
     assert all(steps >= 1 for steps, _ in cs.runs)
     assert all(a != b for (_, a), (_, b) in zip(cs.runs, cs.runs[1:]))
     assert parse_strategy(json.dumps(counting_to_doc(asym, cs)), asym) == cs
+
+
+METAMORPHIC_MODELS = {
+    **{name: (lambda name=name: builtin(name)) for name in ("investment", "appendix_ex3", "appendix_ex4")},
+    "badly_spaced-6": lambda: badly_spaced(6),  # kappa 239
+    **{
+        f"random-8x3x2-{seed}": (
+            lambda seed=seed: random_mdp(
+                RandomMdpConfig(8, 3, 2, discounts=[Fraction(9, 10), Fraction(3, 10)], seed=seed)
+            )
+        )
+        for seed in range(5)
+    },
+}
+
+
+def _relabelled(asym, order):
+    """asym with its states listed in `order` (old indices); names, actions and rewards move along."""
+    new = {old: k for k, old in enumerate(order)}
+    mdp = Mdp(
+        states=[asym.mdp.states[s] for s in order],
+        actions=[asym.mdp.actions[s] for s in order],
+        transitions=[
+            [[(new[t], p) for t, p in succ] for succ in asym.mdp.transitions[s]] for s in order
+        ],
+    )
+    return AsymMdp(mdp=mdp, principals=asym.principals, rewards=[asym.rewards[s] for s in order])
+
+
+@pytest.mark.parametrize("name", METAMORPHIC_MODELS)
+def test_optimize_exact_ignores_state_order(name):
+    asym = METAMORPHIC_MODELS[name]()
+    order = random.Random(name).sample(range(asym.n_states), asym.n_states)
+    if order == sorted(order):
+        order.reverse()
+    base, moved = optimize(asym, mode=EXACT), optimize(_relabelled(asym, order), mode=EXACT)
+    assert (moved.kappa, moved.kappa_bound) == (base.kappa, base.kappa_bound)
+    assert moved.reports == base.reports
+    assert moved.strategy.prefix == [[row[s] for s in order] for row in base.strategy.prefix]
+    assert moved.strategy.tail == [base.strategy.tail[s] for s in order]
+
+
+@pytest.mark.parametrize("name", METAMORPHIC_MODELS)
+def test_optimize_exact_reward_shift_moves_values_only(name):
+    asym = METAMORPHIC_MODELS[name]()
+    base = optimize(asym, mode=EXACT)
+    c = Fraction(-7, 3)
+    for i, lam in enumerate(asym.discounts):
+        rewards = [[[r + c * (k == i) for k, r in enumerate(rr)] for rr in per_s] for per_s in asym.rewards]
+        res = optimize(AsymMdp(mdp=asym.mdp, principals=asym.principals, rewards=rewards), mode=EXACT)
+        assert (res.kappa, res.kappa_bound, res.strategy) == (base.kappa, base.kappa_bound, base.strategy)
+        move = c / (1 - lam)
+        for state, rep in res.reports.items():
+            was = base.reports[state]
+            assert rep.deviation_gain == was.deviation_gain
+            assert rep.per_principal == [v + move * (k == i) for k, v in enumerate(was.per_principal)]
+            assert (rep.baseline, rep.social_welfare) == (was.baseline + move, was.social_welfare + move)
