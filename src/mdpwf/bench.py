@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import MdpwfError
 from .generators import RandomMdpConfig, random_mdp
 from .model import AsymMdp
-from .numeric import FLOAT, NumericMode, as_fraction
+from .numeric import as_fraction
 from .welfare import optimize
 
 
@@ -204,11 +204,10 @@ def sweep_discounts(
     alphas,
     betas,
     start: int = 0,
-    mode: NumericMode = FLOAT,
     max_kappa: int = 10**5,
 ):
-    """Optimize the template under every (alpha, beta) grid cell with
-    alpha > beta; cells on or below the diagonal stay empty."""
+    """Optimize the template in float mode under every (alpha, beta) grid
+    cell with alpha > beta; cells on or below the diagonal stay empty."""
     if template.n_principals != 2:
         raise ValueError("sweep_discounts needs a two-principal template")
     cells = []
@@ -221,7 +220,7 @@ def sweep_discounts(
                 continue
             asym = template.with_discounts([a, b])
             try:
-                res = optimize(asym, mode=mode, max_kappa=max_kappa)
+                res = optimize(asym, max_kappa=max_kappa)
             except MdpwfError as e:
                 cells.append(SweepCell(alpha=a, beta=b, status="error", error=str(e)))
                 continue

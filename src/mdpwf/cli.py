@@ -364,7 +364,7 @@ def _grid(text):
 
 
 def cmd_sweep(args):
-    asym = _read_model(args.file, _mode(args))
+    asym = _read_model(args.file, FLOAT)
     start = asym.state_index(args.start) if args.start else 0
     cells = bench_mod.sweep_discounts(
         asym,

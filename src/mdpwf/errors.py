@@ -6,7 +6,7 @@ class MdpwfError(Exception):
 
 
 class FormatError(MdpwfError):
-    """A model or strategy file could not be parsed.
+    """A model or strategy file could not be parsed or written.
 
     Attributes:
         location: human-readable position of the offending field.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dense, _entries, policy_values_exact, policy_values_float, power_pays, topo_order
+from .linalg import _dense, _entries, policy_values_exact, policy_values_float, power_pays
 from .model import AsymMdp
 from .numeric import FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
@@ -28,13 +28,10 @@ def _bundle(vectors):
 
 
 def _policy_system(view, entries, r, mode):
-    """Payoffs of the policy system with successor `entries` and
-    n_states x n_principals rewards `r`, solved once per principal; exact
-    mode finds the graph's `topo_order` once for all of them."""
-    if not mode.is_exact:
-        return _bundle([policy_values_float(view, i, entries, ri) for i, ri in enumerate(r.T)])
-    order = topo_order(view.n_states, *entries[:2])
-    return _bundle([policy_values_exact(view, i, entries, ri, order) for i, ri in enumerate(r.T)])
+    """Payoffs of the policy system with successor `entries` and rewards `r`, one solve."""
+    if mode.is_exact:
+        return _bundle(policy_values_exact(view, entries, r, view.discounts).T.tolist())
+    return _bundle(list(policy_values_float(view, entries, r, view.discounts).T))
 
 
 def eval_positional(asym: AsymMdp, sigma, mode: NumericMode = FLOAT) -> EvalResult:

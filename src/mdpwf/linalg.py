@@ -2,12 +2,12 @@
 
 Policy evaluation solves (I - lam * P_sigma) v = r_sigma.  Both modes
 assemble it from the same successor entries of the row view (`_entries`),
-once per strategy in the caller, and solve it once per principal.
-The matrix is strictly row diagonally dominant for lam < 1, hence
-nonsingular.  Float mode solves it by dense LAPACK or by sparse LU
-(`sparse_pays` picks which).  Exact mode back-substitutes
-along a topological order when the policy graph is acyclic apart from self
-loops, and otherwise solves it on integers by p-adic lifting
+once per strategy in the caller, and solve it for all principals in one
+call, one value column per discount; the matrix is strictly row diagonally
+dominant for lam < 1, hence nonsingular.  Float mode solves it by dense
+LAPACK or by sparse LU (`sparse_pays` picks which).  Exact mode
+back-substitutes along a topological order when the policy graph is acyclic
+apart from self loops, and otherwise solves it on integers by p-adic lifting
 (`exact_gauss`), whose result is checked exactly before it is returned.
 """
 
@@ -210,55 +210,57 @@ def sparse_pays(n, nnz):
     return n > _SPARSE_LIMIT or (n > _DENSE_LIMIT and nnz <= _SPARSE_ENTRIES_PER_STATE * n)
 
 
-def policy_values_float(view, principal, entries, r):
-    """binary64 value vector for one principal of the policy system with
-    successor `entries` and rewards `r`: dense LAPACK solve, or, where
-    `sparse_pays`, SuperLU on one CSC matrix (repeated entries summed) in
-    symmetric mode, which permutes rows as the fill-reducing column order
-    and prefers diagonal pivots.  A symmetric permutation keeps I - lam P
-    strictly row diagonally dominant, and elimination on such a matrix is
-    stable on its diagonal (growth factor at most 2; Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., Thm 9.9)."""
-    lam = float(view.discounts[principal])
-    n = view.n_states
+def policy_values_float(view, entries, r, lams):
+    """binary64 values of the policy system with successor `entries`, one
+    column per discount: (I - lams[i] P) v[:, i] = r[:, i].  Dense LAPACK
+    solves the stacked matrices in one call; where `sparse_pays`, SuperLU
+    factors each column's CSC matrix (repeated entries summed), one at a
+    time, in symmetric mode, which permutes rows as the fill-reducing column
+    order and prefers diagonal pivots.  A symmetric permutation keeps
+    I - lam P strictly row diagonally dominant, and elimination on such a
+    matrix is stable on its diagonal (growth factor at most 2; Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 9.9)."""
+    n, k = view.n_states, len(lams)
     src, dst, prob = entries
-    data = -lam * prob
+    data = prob[:, None] * -lams  # entry x column
     if not sparse_pays(n, len(src)):
-        a = np.eye(n)
+        a = np.zeros((n, n, k))
+        a.reshape(n * n, k)[:: n + 1] = 1
         np.add.at(a, (src, dst), data)
-        return np.linalg.solve(a, r)
+        return np.linalg.solve(a.transpose(2, 0, 1), r.T[:, :, None])[..., 0].T
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
     diag = np.arange(n)
     rows, cols = np.concatenate([src, diag]), np.concatenate([dst, diag])
-    a = csc_array((np.concatenate([data, np.ones(n)]), (rows, cols)), shape=(n, n))
-    return splu(a, options=dict(SymmetricMode=True)).solve(r)
+    a = (csc_array((np.concatenate([d, np.ones(n)]), (rows, cols)), shape=(n, n)) for d in data.T)
+    return np.array([splu(m, options=dict(SymmetricMode=True)).solve(b) for m, b in zip(a, r.T)]).T
 
 
-def policy_values_exact(view, principal, entries, r, order):
-    """Exact value vector for one principal of the policy system with
-    successor `entries` and rewards `r`: back-substitution along
-    `order`, a `topo_order` valid for the policy's graph, summing each
-    state's self-loop entries; the lifted solve `exact_gauss` when `order`
-    is None (a cycle)."""
-    lam = view.discounts[principal]
+def policy_values_exact(view, entries, r, lams):
+    """Exact values of the policy system with successor `entries`, one
+    column per discount as in `policy_values_float`: back-substitution along
+    the policy graph's `topo_order`, summing each state's self-loop entries,
+    or the lifted solve `exact_gauss` when the graph has a cycle."""
     n = view.n_states
     src, dst, prob = entries
+    order = topo_order(n, src, dst)
     if order is None:
         diag = np.arange(n)
-        return exact_gauss(
-            np.concatenate([src, diag]), np.concatenate([dst, diag]), [*(-lam * prob), *[1] * n], r
-        )
+        rows, cols = np.concatenate([src, diag]), np.concatenate([dst, diag])
+        v = [exact_gauss(rows, cols, [*(-lam * prob), *[1] * n], ri) for lam, ri in zip(lams, r.T)]
+        return np.array(v, dtype=object).T
     ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
-    dst, prob, r = dst.tolist(), prob.tolist(), r.tolist()
-    v = [Fraction(0)] * n
-    for s in order:
-        acc, self_p = r[s], Fraction(0)
-        for k in range(ptr[s], ptr[s + 1]):
-            if dst[k] == s:
-                self_p += prob[k]
-            else:
-                acc += lam * prob[k] * v[dst[k]]
-        v[s] = acc / (1 - lam * self_p)
+    dst, prob, v = dst.tolist(), prob.tolist(), np.empty((n, len(lams)), dtype=object)
+    for i, lam in enumerate(lams):
+        ri, vi = r[:, i].tolist(), [Fraction(0)] * n
+        for s in order:
+            acc, self_p = ri[s], Fraction(0)
+            for j in range(ptr[s], ptr[s + 1]):
+                if dst[j] == s:
+                    self_p += prob[j]
+                else:
+                    acc += lam * prob[j] * vi[dst[j]]
+            vi[s] = acc / (1 - lam * self_p)
+        v[:, i] = vi
     return v

@@ -413,12 +413,14 @@ def _parse_number(value, where):
 
 def _read_json(text):
     """The JSON value of a model or strategy file; malformed JSON raises
-    FormatError naming its line."""
+    FormatError (naming its line where json reports one)."""
     try:
         # parse_float keeps the literal text so decimals stay exact
         return json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}") from None
+    except ValueError as e:  # an integer literal past the int-to-str digit limit
+        raise FormatError(f"invalid JSON: {e}") from None
 
 
 def loads(text: str, validate_mode: NumericMode = FLOAT) -> AsymMdp:
@@ -472,8 +474,13 @@ def load(path, validate_mode: NumericMode = FLOAT) -> AsymMdp:
         return loads(f.read(), validate_mode)
 
 
-def _json_number(q: Fraction):
-    return q.numerator if q.denominator == 1 else format_fraction(q)
+def _json_number(q: Fraction, where):
+    """q as an int or 'p/q' text; FormatError at `where` if `loads` could not read it back."""
+    try:
+        text = str(q)
+    except ValueError as e:
+        raise FormatError(f"number not writable: {e}", location=where) from None
+    return q.numerator if q.denominator == 1 else text
 
 
 def dumps(asym: AsymMdp) -> str:
@@ -483,13 +490,14 @@ def dumps(asym: AsymMdp) -> str:
     actions = []
     for s in range(asym.n_states):
         for a in sorted(range(len(mdp.actions[s])), key=lambda a: mdp.actions[s][a]):
+            where = f"state {mdp.states[s]!r}, action {mdp.actions[s][a]!r}"
             actions.append(
                 {
                     "state": mdp.states[s],
                     "action": mdp.actions[s][a],
-                    "reward": [_json_number(r) for r in asym.rewards[s][a]],
+                    "reward": [_json_number(r, where) for r in asym.rewards[s][a]],
                     "transitions": [
-                        {"to": mdp.states[t], "prob": _json_number(p)}
+                        {"to": mdp.states[t], "prob": _json_number(p, where)}
                         for t, p in mdp.transitions[s][a]
                     ],
                 }
@@ -497,7 +505,7 @@ def dumps(asym: AsymMdp) -> str:
     doc = {
         "states": list(mdp.states),
         "principals": [
-            {"name": p.name, "discount": _json_number(p.discount)}
+            {"name": p.name, "discount": _json_number(p.discount, f"principal {p.name!r}")}
             for p in asym.principals
         ],
         "actions": actions,

@@ -90,8 +90,6 @@ def format_fraction(q: Fraction) -> str:
 
 def number_for_json(value, mode: NumericMode):
     """Render a computed number for JSON output in the given mode."""
-    if isinstance(value, Fraction):
-        if mode.is_exact:
-            return format_fraction(value)
-        return float(value)
+    if isinstance(value, Fraction) and mode.is_exact:
+        return format_fraction(value)
     return float(value)

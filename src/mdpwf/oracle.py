@@ -132,26 +132,20 @@ def threshold_decide_positional(
     rank order, so the witness is the first strategy reaching the threshold
     exactly; float mode returns the first candidate, which may fall short
     by that margin.
-    A confirmation back-substitutes along the union graph's order, or along
-    the policy's own when the union graph is cyclic (the lifted integer
-    solve `exact_gauss` only when the policy's graph is cyclic too).
+    A confirmation back-substitutes along the policy graph's own order (the
+    lifted integer solve `exact_gauss` only when that graph is cyclic).
     """
-    order = _full_graph_topo(asym)
     thr_f = float(threshold)
     margin = PRESCREEN_TOL * max(1.0, abs(thr_f))
-    for sig, sw in _scored_blocks(asym, start, FLOAT, order, cap):
+    for sig, sw in _scored_blocks(asym, start, FLOAT, _full_graph_topo(asym), cap):
         for k in np.flatnonzero(~(sw < thr_f - margin)):
             sigma = sig[k].tolist()
             if not mode.is_exact:
                 return ThresholdDecision(True, sigma, float(sw[k]))
             view = asym.float_view(EXACT)
             rows = view.row_ptr[:-1] + sig[k]
-            entries = _entries(view, rows)
-            own = topo_order(view.n_states, *entries[:2]) if order is None else order
-            exact_sw = sum(
-                policy_values_exact(view, i, entries, view.rewards[rows, i], own)[start]
-                for i in range(asym.n_principals)
-            )
+            v = policy_values_exact(view, _entries(view, rows), view.rewards[rows], view.discounts)
+            exact_sw = sum(v[start].tolist())
             if exact_sw >= threshold:
                 return ThresholdDecision(True, sigma, exact_sw)
     return ThresholdDecision(False, None, None)

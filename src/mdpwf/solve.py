@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .linalg import _entries, policy_values_exact, policy_values_float, topo_order
+from .linalg import _entries, policy_values_exact, policy_values_float
 from .model import AsymMdp
 from .numeric import FLOAT, PI_IMPROVEMENT_TOL, TIE_TOL, NumericMode, format_fraction
 
@@ -127,21 +127,19 @@ def _policy_iteration(view, principal, mask, mode):
     best allowed action (the lowest index among ties) only when that
     improves its q-value by more than eps: 0 in exact mode, which keeps
     the iteration acyclic, and PI_IMPROVEMENT_TOL * max(1, max|v|) in float mode."""
-    lam = view.discounts[principal]
+    lams = view.discounts[principal : principal + 1]  # one column: this principal's
     starts = view.row_ptr[:-1]
     sigma = _lowest_actions(view, mask)
     for _ in range(100_000):
         rows = starts + sigma
-        entries = _entries(view, rows)
-        r = view.rewards[rows, principal]
+        system = view, _entries(view, rows), view.rewards[rows, principal : principal + 1], lams
         if mode.is_exact:
-            order = topo_order(view.n_states, *entries[:2])
-            v = policy_values_exact(view, principal, entries, r, order)
+            v = policy_values_exact(*system)[:, 0].tolist()
             eps = 0
         else:
-            v = policy_values_float(view, principal, entries, r)
+            v = policy_values_float(*system)[:, 0]
             eps = PI_IMPROVEMENT_TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        q = _one_step_all_rows(view, principal, lam, np.asarray(v, dtype=view.dtype))
+        q = _one_step_all_rows(view, principal, lams[0], np.asarray(v, dtype=view.dtype))
         best, masked = _masked_max(view, q, mask)
         better = best > q[rows] + eps
         if not np.count_nonzero(better):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CertificationError, HorizonExceededError
 from .evaluate import eval_counting
-from .linalg import _dense, _scaled, power_pays
+from .linalg import _dense, _entries, _scaled, policy_values_float, power_pays
 from .model import AsymMdp, _order_violations
 from .numeric import ADVANTAGE_ZERO_TOL, DECOMPOSITION_TOL, FLOAT, NumericMode, format_fraction
 from .solve import _row_mask, optimal_action_set, solve_discounted
@@ -184,12 +184,14 @@ def kappa_estimate(asym: AsymMdp, adv: AdvantageTable, mode: NumericMode = FLOAT
     total = np.maximum(adv.delta, 0).cumsum(axis=1)[:, -1]
     rows = total.nonzero()[0]
     lead = adv.lead[rows]
+    # exact mode takes logs of the integers: float(kp) overflows past binary64's range
+    log = (lambda q: math.log(q.numerator) - math.log(q.denominator)) if mode.is_exact else math.log
     bound = 0
     for i, t, d in zip(lead.tolist(), total[rows].tolist(), adv.delta[rows, lead].tolist()):
         kp = t / abs(d)
         if kp > 1:
             base = bases[i]
-            k = max(0, math.ceil(math.log(float(kp)) / math.log(float(base))))
+            k = max(0, math.ceil(log(kp) / log(base)))
             if mode.is_exact:
                 # float log can be off by one at the boundary; fix exactly
                 while k > 0 and base ** (k - 1) >= kp:
@@ -283,8 +285,8 @@ def _float_runs(view, delta, kappa, tail):
     A run starts with one step of the stepwise arithmetic, which fixes the
     rows sigma at step hi - 1.  While sigma is played, g_j = U rho^j + M g_{j+1}
     with M = lam_0 P_sigma and U = delta[sigma], whose solution is
-    g_j = sum_i rho_i^j w_i + M^(hi - j) z, where (I - rho_i M) w_i = U_i (one
-    batched solve; rho_i <= 1 and M's spectral radius is below 1) and
+    g_j = sum_i rho_i^j w_i + M^(hi - j) z, where (I - rho_i M) w_i = U_i, the
+    policy system of sigma under lam_i = rho_i lam_0 (`policy_values_float`), and
     z = g_hi - sum_i rho_i^hi w_i.  The transient M^k z is built by doubling,
     [X, M^|X| X], so it is exact up to rounding.  A window of steps below hi
     is then scored row by row as the stepwise loop scores them.  A step
@@ -308,7 +310,7 @@ def _float_runs(view, delta, kappa, tail):
     while hi:
         sigma = _segment_argmax(view, scored((rho ** (hi - 1.0))[None], g[None]))[0]
         m = lam0 * _dense(view, sigma)
-        w = np.linalg.solve(np.eye(n) - rho[:, None, None] * m, delta[sigma].T[:, :, None])[..., 0]
+        w = policy_values_float(view, _entries(view, sigma), delta[sigma], view.discounts).T
         rival = sigma[view.row_state]  # sigma's row in each row's state
         lower = view.row_index < rival  # wins a tie against it
         width, run_top = _WINDOW_START, hi

@@ -410,3 +410,23 @@ def test_one_assembly_per_strategy(count_calls, mode, kind):
         res = eval_stationary_mixed(asym, MixedStationaryStrategy(probs), mode)
     assert len(res.per_principal) == 3
     assert len(assembled) == 1
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("kind", ["positional", "mixed", "counting"])
+def test_one_solve_for_all_principals(count_calls, mode, kind):
+    # the wrapper sees the calls only if evaluate looks its solver up when
+    # it is called, as a tracer wrapping the module attribute needs
+    asym = random_mdp(RandomMdpConfig(num_states=5, num_principals=3, seed=4))
+    solver = "policy_values_exact" if mode.is_exact else "policy_values_float"
+    solves = count_calls(solver, mdpwf.evaluate)
+    if kind == "positional":
+        res = eval_positional(asym, [1, 0, 1, 0, 1], mode)
+    elif kind == "mixed":
+        probs = [[Fraction(1, len(acts))] * len(acts) for acts in asym.mdp.actions]
+        res = eval_stationary_mixed(asym, MixedStationaryStrategy(probs), mode)
+    else:
+        cs = CountingStrategy.from_rows([[0] * 5, [1] * 5], [1, 0, 1, 0, 1])
+        res = eval_counting(asym, cs, mode)
+    assert len(res.per_principal) == 3
+    assert len(solves) == 1

@@ -10,9 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mdpwf.linalg
-from mdpwf import EXACT, FLOAT, MdpwfError, RandomMdpConfig, random_mdp
+from mdpwf import EXACT, FLOAT, AsymMdp, MdpwfError, RandomMdpConfig, random_mdp
 from mdpwf.evaluate import eval_stationary_mixed
-from mdpwf.linalg import _entries, _prime_below, exact_gauss, policy_values_float, sparse_pays, topo_order
+from mdpwf.linalg import (
+    _entries,
+    _prime_below,
+    exact_gauss,
+    policy_values_exact,
+    policy_values_float,
+    sparse_pays,
+    topo_order,
+)
 from mdpwf.numeric import PI_IMPROVEMENT_TOL
 from mdpwf.strategies import MixedStationaryStrategy
 from mdpwf.welfare import optimize
@@ -174,7 +182,9 @@ def test_sparse_solve_matches_dense_at_the_switch(monkeypatch, n, successors, la
     # the measured switch: sparse above 600 states, and above 256 for about
     # two successors a row but not for five
     assert sparse_pays(n, len(entries[0])) == (n > 600 or (n > 256 and successors == (1, 3)))
-    sparse, dense = _both_paths(monkeypatch, lambda: policy_values_float(view, 0, entries, r))
+    sparse, dense = _both_paths(
+        monkeypatch, lambda: policy_values_float(view, entries, r[:, None], view.discounts[:1])[:, 0]
+    )
     a = np.eye(n)
     np.add.at(a, entries[:2], -float(lam) * entries[2])
     for v in (sparse, dense):
@@ -194,6 +204,72 @@ def test_sparse_solve_sums_repeated_entries(monkeypatch):
     sparse, dense = _both_paths(monkeypatch, lambda: eval_stationary_mixed(asym, strategy))
     for got, want in zip(sparse.per_principal, dense.per_principal):
         assert _close(got, want)
+
+
+def _columns_alone(solve, view, entries, r, lams):
+    """The k-column solve, and each column solved alone with its discount."""
+    alone = [solve(view, entries, r[:, i : i + 1], lams[i : i + 1])[:, 0] for i in range(len(lams))]
+    return solve(view, entries, r, lams), alone
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_float_columns_match_one_column_solves(monkeypatch, weighted):
+    # a mixed strategy repeats (state, successor) pairs among the entries
+    asym = random_mdp(RandomMdpConfig(num_states=40, num_principals=4, seed=3))
+    view = asym.float_view(FLOAT)
+    if weighted:
+        rows, weight = np.arange(view.n_rows), np.full(view.n_rows, 0.5)
+        r = np.zeros((view.n_states, view.n_principals))
+        np.add.at(r, view.row_state, 0.5 * view.rewards)
+    else:
+        rows, weight = view.row_ptr[:-1], None
+        r = view.rewards[rows]
+    entries = _entries(view, rows, weight)
+    for both, alone in _both_paths(
+        monkeypatch, lambda: _columns_alone(policy_values_float, view, entries, r, view.discounts)
+    ):
+        assert both.shape == (40, 4)
+        for i, column in enumerate(alone):
+            assert both[:, i].tobytes() == column.tobytes()
+
+
+def _cycle():
+    return AsymMdp.build(
+        states=["s0", "s1", "s2"],
+        principals=[("A", Fraction(1, 2)), ("B", Fraction(1, 3)), ("C", Fraction(1, 7))],
+        actions=[
+            ("s0", "go", [("s1", Fraction(2, 3)), ("s0", Fraction(1, 3))], [1, 2, 0]),
+            ("s0", "end", [("s2", 1)], [0, 1, 5]),
+            ("s1", "back", [("s0", Fraction(1, 2)), ("s2", Fraction(1, 2))], [3, -1, 2]),
+            ("s2", "stay", [("s2", 1)], [1, 1, 1]),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "case, sigma, cyclic",
+    [("cycle", [0, 0, 0], True), ("cycle", [1, 0, 0], False), ("doubled_self_loop", [0, 0], False)],
+)
+def test_exact_columns_match_one_column_solves(request, monkeypatch, case, sigma, cyclic):
+    asym = _cycle() if case == "cycle" else request.getfixturevalue(case)
+    view = asym.float_view(EXACT)
+    rows = view.row_ptr[:-1] + np.asarray(sigma)
+    entries = _entries(view, rows)
+    assert (topo_order(asym.n_states, *entries[:2]) is None) == cyclic
+    lams, r = view.discounts, view.rewards[rows]
+    if case == "doubled_self_loop":  # one principal: add a second discount column
+        lams = np.array([lams[0], Fraction(1, 5)], dtype=object)
+        r = np.concatenate([r, 2 * r], axis=1)
+    gauss = []
+    monkeypatch.setattr(mdpwf.linalg, "exact_gauss", lambda *a: gauss.append(1) or exact_gauss(*a))
+    both, alone = _columns_alone(policy_values_exact, view, entries, r, lams)
+    assert len(gauss) == (2 * len(lams) if cyclic else 0)
+    assert both.shape == (asym.n_states, len(lams))
+    for i, column in enumerate(alone):
+        assert both[:, i].tolist() == column.tolist()
+        assert all(type(x) is Fraction for x in column.tolist())
+    if case == "doubled_self_loop":
+        assert both[0].tolist() == [Fraction(4, 3), Fraction(20, 9)]  # v = 2 + v / 10
 
 
 def test_float_optimize_same_on_either_path(monkeypatch):

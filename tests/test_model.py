@@ -16,6 +16,7 @@ from mdpwf import (
     spacing_report,
     validate,
 )
+from mdpwf.strategies import parse_strategy
 
 
 def test_validate_investment_ok(investment):
@@ -119,6 +120,43 @@ def test_roundtrip_structural(investment):
 def test_save_load_save_byte_stable(investment, tmp_path):
     text = dumps(investment)
     assert dumps(loads(text)) == text
+
+
+def _one_state(reward=0, prob=1, discount=Fraction(1, 2)):
+    return AsymMdp.build(
+        states=["s"],
+        principals=[("A", discount)],
+        actions=[("s", "stay", [("s", prob)], [reward])],
+    )
+
+
+# numbers past the interpreter's default int-to-str limit of 4,300 digits
+@pytest.mark.parametrize(
+    "model, where",
+    [
+        (_one_state(reward=10**5000), "state 's', action 'stay'"),
+        (_one_state(reward=Fraction(1, 10**5000)), "state 's', action 'stay'"),
+        (_one_state(discount=Fraction(1, 10**5000)), "principal 'A'"),
+    ],
+    ids=["integer", "fraction", "discount"],
+)
+def test_dumps_rejects_numbers_loads_cannot_read(model, where):
+    with pytest.raises(FormatError, match=f"number not writable.*at {where}"):
+        dumps(model)
+
+
+def test_loads_rejects_an_integer_literal_past_the_digit_limit():
+    text = json.dumps(json.loads(dumps(_one_state())))
+    text = text.replace('"reward": [0]', '"reward": [' + "9" * 5001 + "]")
+    assert "9" * 5001 in text
+    with pytest.raises(FormatError, match="invalid JSON"):
+        loads(text)
+
+
+def test_strategy_kappa_past_the_digit_limit_is_a_format_error(investment):
+    text = '{"type": "counting", "kappa": %s, "tail": []}' % ("9" * 5001)
+    with pytest.raises(FormatError, match="invalid JSON"):
+        parse_strategy(text, investment)
 
 
 def test_unknown_field_named():

@@ -259,6 +259,25 @@ def test_exact_kappa_estimate_at_a_power_boundary():
     assert kappa_estimate(asym, adv, EXACT) == 3
 
 
+def test_exact_kappa_estimate_past_the_float_range():
+    # a reward a hair below investment's tie 11/3 makes (s0, a)'s kappa'
+    # about 1.7e400, past binary64's range: its log comes from the integers
+    asym = AsymMdp.build(
+        states=["s0", "s1"],
+        principals=[("Alice", Fraction(2, 3)), ("Bob", Fraction(1, 3))],
+        actions=[
+            ("s0", "a", [("s0", 1)], [Fraction(11, 3) - Fraction(1, 10**400), 3]),
+            ("s0", "b", [("s1", 1)], -1),
+            ("s1", "b", [("s1", 1)], 6),
+        ],
+    )
+    res = optimize(asym, mode=EXACT)
+    assert (res.kappa, res.kappa_bound) == (1330, 1330)
+    adv = res.advantage
+    kp, k = _kappa_bounds_by_row(asym, adv)[_row(asym, 0, 0)]
+    assert kp > 10**400 and k == 1330
+
+
 def test_kappa_estimate_bounds_adaptive():
     for seed in range(40):
         cfg = RandomMdpConfig(
