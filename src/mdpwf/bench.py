@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import MdpwfError
 from .generators import RandomMdpConfig, random_mdp
-from .model import AsymMdp
+from .model import AsymMdp, _check_start
 from .numeric import as_fraction
 from .welfare import optimize
 
@@ -210,6 +210,7 @@ def sweep_discounts(
     cell with alpha > beta; cells on or below the diagonal stay empty."""
     if template.n_principals != 2:
         raise ValueError("sweep_discounts needs a two-principal template")
+    _check_start(template, start)
     cells = []
     for alpha in alphas:
         a = as_fraction(alpha)

@@ -102,11 +102,6 @@ def cmd_spacing(args):
 def cmd_solve(args):
     mode = _mode(args)
     asym = _read_model(args.file, mode)
-    if not (0 <= args.principal < asym.n_principals):
-        raise MdpwfError(
-            f"principal index {args.principal} out of range (model has "
-            f"{asym.n_principals})"
-        )
     result = solve_discounted(asym, args.principal, mode=mode)
     p = asym.principals[args.principal]
     rows = [

@@ -27,11 +27,17 @@ def _bundle(vectors):
     return EvalResult(per_principal=vectors, social_welfare=sw)
 
 
+def _solve(view, entries, r, mode):
+    """Values of the policy system with successor `entries` and rewards `r`, a
+    column per principal, from one call to the mode's solver, looked up when called."""
+    solver = policy_values_exact if mode.is_exact else policy_values_float
+    return solver(view, entries, r, view.discounts)
+
+
 def _policy_system(view, entries, r, mode):
-    """Payoffs of the policy system with successor `entries` and rewards `r`, one solve."""
-    if mode.is_exact:
-        return _bundle(policy_values_exact(view, entries, r, view.discounts).T.tolist())
-    return _bundle(list(policy_values_float(view, entries, r, view.discounts).T))
+    """Payoffs of the policy system with successor `entries` and rewards `r`."""
+    v = _solve(view, entries, r, mode)
+    return _bundle(v.T.tolist() if mode.is_exact else list(v.T))
 
 
 def eval_positional(asym: AsymMdp, sigma, mode: NumericMode = FLOAT) -> EvalResult:
@@ -61,57 +67,40 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
 
     Computed by backward recursion over the prefix on top of the tail's
     positional values; equals the forward expectation sum_j lam^j E[R] plus
-    the lam^kappa-weighted tail value.  Both modes hold all principals at
-    once in an n_states x n_principals array over the mode's row view, and
-    the prefix is taken run by run (see `_counting_values`).
+    the lam^kappa-weighted tail value.  All principals are held at once in
+    an n_states x n_principals array, and the prefix is taken run by run, a
+    long run in closed form (see `_counting_values`).
     """
     cs.check(asym)
     tail_vals = eval_positional(asym, cs.tail, mode)
-    return _bundle(_counting_values(asym.float_view(mode), cs, tail_vals))
+    return _bundle(_counting_values(asym.float_view(mode), cs, tail_vals, mode))
 
 
-def _counting_values(view, cs, tail_vals):
+def _counting_values(view, cs, tail_vals, mode):
     """Per-principal value lists of a checked counting strategy, given its
     tail's values.
 
-    The prefix is taken run by run, last run first.  A run of L steps
-    playing rows sigma applies the affine map u -> r_sigma + lam * P_sigma u L times.
-    When repeated squaring of each principal's (n+1) x (n+1) augmented
-    matrix takes fewer multiplications than L sparse steps, the run is one
-    matrix power; otherwise the played rows' successor entries are gathered
-    once and each step is one segment sum of their successor values."""
+    The prefix is taken run by run, last run first, each from its played
+    rows' successor entries.  Where `power_pays`, a run of L steps of
+    T(u) = r + lam * P u is T^L(u) = w + lam^L * P^L (u - w), from the policy
+    values w = T(w) of one solve and one power P^L for all principals
+    (Puterman, "Markov Decision Processes", 1994, sec. 6.1); otherwise each
+    step is one segment sum of the successor values."""
     n = view.n_states
     u = np.array(tail_vals.per_principal, dtype=view.dtype).T
     for length, row in reversed(cs.runs):
         played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
+        entries, r = _entries(view, played), view.rewards[played]
         if power_pays(n, length):
-            u = _affine_power(view, played, length, u)
+            w = _solve(view, entries, r, mode)
+            power = np.linalg.matrix_power(_dense(view, entries), length)
+            u = w + view.discounts**length * (power @ (u - w))
             continue
-        src, dst, prob = _entries(view, played)
+        src, dst, prob = entries
         starts, prob = np.searchsorted(src, np.arange(n)), prob[:, None]
-        r = view.rewards[played]
         for _ in range(length):
             u = r + view.discounts * np.add.reduceat(prob * u[dst], starts)
     return u.T.tolist()
-
-
-def _affine_power(view, played, length, u):
-    """u after `length` steps of u -> r + lam * P u over the played rows, by
-    repeated squaring of each principal's augmented matrix [[lam P, r], [0, 1]]."""
-    n = view.n_states
-    base = np.zeros((view.n_principals, n + 1, n + 1), dtype=view.dtype)
-    base[:, :n, :n] = view.discounts[:, None, None] * _dense(view, played)
-    base[:, :n, n] = view.rewards[played].T
-    base[:, n, n] = 1
-    power = None
-    while True:
-        if length & 1:
-            power = base if power is None else power @ base
-        length >>= 1
-        if not length:
-            break
-        base = base @ base
-    return ((power[:, :n, :n] @ u.T[:, :, None])[:, :, 0] + power[:, :n, n]).T
 
 
 def counting_value_from(asym: AsymMdp, prefixes, tail_vals, start: int, mode: NumericMode = FLOAT):

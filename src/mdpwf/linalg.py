@@ -151,10 +151,10 @@ def _reconstruct(x, modulus, num_bound, det_bound):
 
 
 def power_pays(n, length):
-    """Whether `length` steps over n states cost more as a closed form of
-    (n+1) x (n+1) matrix products than step by step: a sparse step takes at
-    least 2n multiplications, repeated squaring at most 2 bit_length(length)
-    matrix products."""
+    """Whether `length` steps over n states cost more step by step than by the
+    power P^length of `evaluate._counting_values`: a sparse step takes at least
+    2n multiplications, repeated squaring at most 2 bit_length(length) n x n
+    matrix products of at most (n+1)^3 each (the policy solve is not counted)."""
     return length.bit_length() * (n + 1) ** 3 < n * length
 
 
@@ -188,10 +188,10 @@ def _entries(view, rows, weight=None):
     return view.row_state[row], view.succ_idx[e], prob
 
 
-def _dense(view, rows):
-    """The n_states x n_states transition matrix of the view's `rows`
-    (ascending, one per state), with repeated successors summed."""
-    src, dst, prob = _entries(view, rows)
+def _dense(view, entries):
+    """The n_states x n_states transition matrix of successor `entries`
+    (`_entries` of one row per state), with repeated successors summed."""
+    src, dst, prob = entries
     p = np.zeros((view.n_states, view.n_states), dtype=view.dtype)
     np.add.at(p, (src, dst), prob)
     return p

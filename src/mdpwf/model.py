@@ -238,6 +238,12 @@ def _order_violations(asym: AsymMdp):
     ]
 
 
+def _check_start(asym: AsymMdp, start) -> None:
+    """ValueError unless `start` indexes a state of the model."""
+    if not 0 <= start < asym.n_states:
+        raise ValueError(f"start {start} out of range (model has {asym.n_states} states)")
+
+
 def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:
     """Check every model invariant; violations are data, not exceptions."""
     v = []

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CapExceededError
 from .evaluate import counting_value_from, eval_positional
 from .linalg import _entries, policy_values_exact, topo_order
-from .model import AsymMdp
+from .model import AsymMdp, _check_start
 from .numeric import EXACT, FLOAT, PRESCREEN_TOL, NumericMode
 from .strategies import CountingStrategy
 
@@ -100,6 +100,7 @@ def enumerate_positional(
     """Evaluate every pure positional strategy, a block per array pass over
     the model's row view; ties resolve to the lexicographically first
     strategy."""
+    _check_start(asym, start)
     best_sw = None
     best = None
     for sig, sw in _scored_blocks(asym, start, mode, _full_graph_topo(asym), cap):
@@ -135,6 +136,7 @@ def threshold_decide_positional(
     A confirmation back-substitutes along the policy graph's own order (the
     lifted integer solve `exact_gauss` only when that graph is cyclic).
     """
+    _check_start(asym, start)
     thr_f = float(threshold)
     margin = PRESCREEN_TOL * max(1.0, abs(thr_f))
     for sig, sw in _scored_blocks(asym, start, FLOAT, _full_graph_topo(asym), cap):
@@ -196,6 +198,7 @@ def enumerate_counting(
     """Exhaust all prefix tables of depth <= horizon with all positional
     tails; prefix cells unreachable from the start at their step are
     pruned (welfare-neutral)."""
+    _check_start(asym, start)
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     layers, closure = _reachable_layers(asym, start, horizon)

@@ -64,6 +64,10 @@ def solve_discounted(
     (None allows all); the order within a list does not matter, and ties
     go to the lowest allowed index.
     """
+    if not 0 <= principal < asym.n_principals:
+        raise ValueError(
+            f"principal index {principal} out of range (model has {asym.n_principals})"
+        )
     view = asym.float_view(mode)
     mask = _row_mask(asym, view, restriction)
     lam = asym.discounts[principal]

@@ -309,8 +309,9 @@ def _float_runs(view, delta, kappa, tail):
     hi = kappa
     while hi:
         sigma = _segment_argmax(view, scored((rho ** (hi - 1.0))[None], g[None]))[0]
-        m = lam0 * _dense(view, sigma)
-        w = policy_values_float(view, _entries(view, sigma), delta[sigma], view.discounts).T
+        entries = _entries(view, sigma)
+        m = lam0 * _dense(view, entries)
+        w = policy_values_float(view, entries, delta[sigma], view.discounts).T
         rival = sigma[view.row_state]  # sigma's row in each row's state
         lower = view.row_index < rival  # wins a tie against it
         width, run_top = _WINDOW_START, hi

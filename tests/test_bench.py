@@ -127,6 +127,13 @@ def test_sweep_requires_two_principals(twins):
         sweep_discounts(twins, [Fraction(1, 2)], [Fraction(1, 4)])
 
 
+@pytest.mark.parametrize("start", [-1, 2])
+def test_sweep_rejects_a_start_out_of_range(investment, start):
+    # -1 used to report the last state, and 2 raised a bare IndexError
+    with pytest.raises(ValueError, match=rf"start {start} out of range \(model has 2 states\)"):
+        sweep_discounts(investment, [Fraction(2, 3)], [Fraction(1, 3)], start=start)
+
+
 def test_sweep_csv(investment, tmp_path):
     cells = sweep_discounts(investment, [Fraction(2, 3)], [Fraction(1, 3)])
     path = tmp_path / "sweep.csv"

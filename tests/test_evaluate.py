@@ -358,13 +358,15 @@ def _stepwise_counting(asym, cs, mode):
 
 
 # (model, runs of (length, row)): runs of length 1 between runs long enough
-# that `eval_counting` takes them by repeated squaring
+# that `eval_counting` takes them in closed form (`power_pays`)
 RUN_CASES = [
     ("investment", [(1, [0, 0]), (300, [1, 0]), (1, [0, 0]), (1, [1, 0]), (257, [0, 0])]),
     ("badly_spaced-10", [(600, [0, 1, 0]), (1, [0, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 0])]),
     ("appendix_ex2", [(1, [1, 1, 0, 0]), (400, [0, 0, 0, 0]), (1, [1, 0, 0, 0]), (500, [1, 1, 0, 0])]),
     ("three-principal", [(1, [1, 0, 0]), (400, [0, 1, 0]), (1, [1, 1, 0]), (700, [0, 0, 0])]),
     ("three-principal", []),
+    # s0's action a lists its self loop twice: the shared power must sum both
+    ("doubled-self-loop", [(1, [1, 0]), (300, [0, 0]), (1, [1, 0])]),
 ]
 RUN_MODELS = {
     "investment": lambda: builtin("investment"),
@@ -379,6 +381,15 @@ RUN_MODELS = {
             ("s1", "a", [("s0", Fraction(1, 3)), ("s2", Fraction(2, 3))], [2, 1, 0]),
             ("s1", "b", [("s1", 1)], [-1, 2, 1]),
             ("s2", "a", [("s2", 1)], [0, 0, 1]),
+        ],
+    ),
+    "doubled-self-loop": lambda: AsymMdp.build(  # the `doubled_self_loop` fixture
+        states=["s0", "s1"],
+        principals=[("A", Fraction(1, 2))],
+        actions=[
+            ("s0", "a", [("s0", Fraction(1, 4)), ("s0", Fraction(1, 4)), ("s1", Fraction(1, 2))], 1),
+            ("s0", "c", [("s1", 1)], 1),
+            ("s1", "b", [("s1", 1)], 0),
         ],
     ),
 }

@@ -297,3 +297,29 @@ def test_cyclic_union_graph_confirms_along_policy_order(count_calls):
     assert dec.witness == [0, 0]
     assert dec.witness_social_welfare == Fraction(2) + Fraction(3)
     assert gauss == []
+
+
+def test_counting_oracle_rejects_a_negative_start():
+    # start -1 used to pin every prefix cell to the tail (no state of
+    # range(n) is -1), so the reported best strategy did not reach the
+    # reported welfare: 229.206 against 242.331 at the last state
+    asym = random_mdp(RandomMdpConfig(num_states=4, actions_per_state=2, num_principals=2, seed=3))
+    with pytest.raises(ValueError, match=r"start -1 out of range \(model has 4 states\)"):
+        enumerate_counting(asym, -1, 2, EXACT)
+    res = enumerate_counting(asym, 3, 2, EXACT)
+    assert eval_counting(asym, res.best_strategy, EXACT).social_welfare[3] == res.best_social_welfare
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda asym, start: enumerate_positional(asym, start, mode=EXACT),
+        lambda asym, start: threshold_decide_positional(asym, start, 0, mode=EXACT),
+        lambda asym, start: enumerate_counting(asym, start, 1, mode=EXACT),
+    ],
+    ids=["positional", "threshold", "counting"],
+)
+@pytest.mark.parametrize("start", [-1, 2])
+def test_oracles_reject_a_start_out_of_range(investment, search, start):
+    with pytest.raises(ValueError, match=rf"start {start} out of range \(model has 2 states\)"):
+        search(investment, start)

@@ -269,3 +269,10 @@ def test_one_assembly_per_policy_iteration_step(count_calls, mode):
     solve_discounted(asym, 0, mode=mode)
     assert len(steps) > 1  # the first policy is improved at least once
     assert len(assembled) == len(steps)
+
+
+@pytest.mark.parametrize("principal", [-1, -2, 2])
+def test_principal_out_of_range(investment, principal):
+    # -1 used to slice an empty reward column, -2 to solve principal 0
+    with pytest.raises(ValueError, match=rf"principal index {principal} out of range \(model has 2\)"):
+        solve_discounted(investment, principal)

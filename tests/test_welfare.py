@@ -33,6 +33,7 @@ from mdpwf import (
     validate,
 )
 from mdpwf import welfare
+import mdpwf.linalg
 from mdpwf.linalg import power_pays
 from mdpwf.strategies import counting_to_doc, parse_strategy
 from mdpwf.welfare import _backward_induction
@@ -774,6 +775,14 @@ def test_float_runs_ties_go_to_lowest_index(mode):
     original = [0, None, 1, None]  # S1's local actions in badly_spaced(20)
     mapped = [[a if s != s1 else original[a] for s, a in enumerate(row)] for row in res.strategy.prefix]
     assert mapped == optimize(badly_spaced(20), mode=mode).strategy.prefix
+
+
+def test_float_runs_assemble_each_run_once(count_calls):
+    asym = badly_spaced(20)
+    assembled = count_calls("_entries", mdpwf.linalg, welfare)
+    res = optimize(asym, mode=FLOAT)
+    assert power_pays(asym.n_states, res.kappa)  # backward induction takes runs
+    assert len(assembled) == len(res.strategy.runs) >= 1
 
 
 def _fraction_backward_induction(asym, adv, kappa):
