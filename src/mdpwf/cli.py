@@ -296,14 +296,11 @@ def cmd_gen(args):
     elif args.generator == "b1":
         asym = gen_mod.badly_spaced(args.n)
     elif args.generator == "random":
-        discounts = args.discounts.split(",") if args.discounts else None
-        if args.scheme == "list" and discounts is None:
-            raise MdpwfError("--scheme list needs --discounts")
         cfg = gen_mod.RandomMdpConfig(
             num_states=args.states,
             actions_per_state=args.actions,
             num_principals=args.principals,
-            discounts=discounts if args.scheme == "list" else None,
+            discounts=args.discounts.split(",") if args.discounts else None,
             successors=(args.succ_min, args.succ_max),
             reward_range=(as_fraction(args.reward_min), as_fraction(args.reward_max)),
             seed=args.seed,
@@ -448,8 +445,7 @@ def build_parser():
     g.add_argument("--states", type=int, required=True)
     g.add_argument("--actions", type=int, default=2)
     g.add_argument("--principals", type=int, default=2)
-    g.add_argument("--scheme", choices=["ap", "list"], default="ap")
-    g.add_argument("--discounts", help="comma-separated, for --scheme list")
+    g.add_argument("--discounts", help="comma-separated (default: a progression)")
     g.add_argument("--succ-min", type=int, default=1)
     g.add_argument("--succ-max", type=int, default=3)
     g.add_argument("--reward-min", default="-10")

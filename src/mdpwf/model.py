@@ -178,7 +178,8 @@ class FloatView:
 
     Numbers are binary64 in float mode and `object` arrays holding the
     model's own Fractions in exact mode, so one array expression serves
-    both; index arrays are int64 either way."""
+    both; index arrays are int64 either way.  The methods take the Bellman
+    step's reductions over arrays with states or rows on their last axis."""
 
     def __init__(self, asym: AsymMdp, mode: NumericMode = FLOAT):
         mdp = asym.mdp
@@ -202,6 +203,24 @@ class FloatView:
         self.rewards = self._numbers(
             [r for s, a in rows for r in asym.rewards[s][a]]
         ).reshape(self.n_rows, self.n_principals)
+
+    def successor_sums(self, x, weight):
+        """Per row, the sum of weight * x over its successor entries."""
+        if x.ndim == 1:
+            return np.add.reduceat(weight * x[self.succ_idx], self.succ_ptr[:-1])
+        return np.add.reduceat(weight * x[:, self.succ_idx], self.succ_ptr[:-1], axis=1)
+
+    def segment_max(self, x):
+        """Per state, the maximum of x over its rows."""
+        return np.maximum.reduceat(x, self.row_ptr[:-1], axis=-1)
+
+    def first_best(self, x):
+        """Per state, the least row whose x is the state's maximum: the tie
+        rule, which sends ties to the lowest action index."""
+        best = self.segment_max(x)
+        best = best[self.row_state] if x.ndim == 1 else best[:, self.row_state]
+        ties = np.where(x == best, self.row_index, self.n_rows)
+        return np.minimum.reduceat(ties, self.row_ptr[:-1], axis=-1)
 
     def _numbers(self, values):
         if self.dtype is object:
@@ -242,6 +261,16 @@ def _check_start(asym: AsymMdp, start) -> None:
     """ValueError unless `start` indexes a state of the model."""
     if not 0 <= start < asym.n_states:
         raise ValueError(f"start {start} out of range (model has {asym.n_states} states)")
+
+
+def _check_discount_order(asym: AsymMdp) -> None:
+    """ValueError unless the model has principals with strictly descending discounts."""
+    if not asym.principals:
+        raise ValueError("model has no principals")
+    for earlier, later, message in _order_violations(asym):
+        if earlier == later:
+            message += "; combine equal discounts with merge_equal_discounts"
+        raise ValueError(message)
 
 
 def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:

@@ -95,8 +95,7 @@ def optimal_action_set(
         sets[s].append(a)
     if not all(sets):
         s = sets.index([])
-        best, _ = _masked_max(view, q.q, q.allowed)
-        gap = v[s] - best.item(s)
+        gap = v[s] - view.segment_max(np.where(q.allowed, q.q, -np.inf)).item(s)
         raise ConvergenceError(
             f"empty optimal action set at state {asym.mdp.states[s]!r}: "
             f"v(s) - max allowed q(s, a) = {format_fraction(gap) if mode.is_exact else gap} "
@@ -108,45 +107,27 @@ def optimal_action_set(
 # -- policy iteration --------------------------------------------------------
 
 
-def _one_step_all_rows(view, principal, lam, v):
-    prod = view.succ_prob * v[view.succ_idx]
-    sums = np.add.reduceat(prod, view.succ_ptr[:-1]) if len(prod) else np.zeros(0)
-    return view.rewards[:, principal] + lam * sums
-
-
-def _masked_max(view, q, mask):
-    """Per-state maximum of q over the rows in `mask`, and q with the rows
-    outside it set to -inf."""
-    q = np.where(mask, q, -np.inf)
-    return np.maximum.reduceat(q, view.row_ptr[:-1]), q
-
-
-def _lowest_actions(view, hit):
-    """Per state, the lowest local action index whose row has `hit` set."""
-    return np.minimum.reduceat(np.where(hit, view.local_action, view.n_rows), view.row_ptr[:-1])
-
-
 def _policy_iteration(view, principal, mask, mode):
     """Policy iteration over the mode's row view.  A state switches to its
-    best allowed action (the lowest index among ties) only when that
-    improves its q-value by more than eps: 0 in exact mode, which keeps
-    the iteration acyclic, and PI_IMPROVEMENT_TOL * max(1, max|v|) in float mode."""
+    best allowed action (`FloatView.first_best`, the lowest index among ties)
+    only when that improves its q-value by more than eps: 0 in exact mode,
+    which keeps the iteration acyclic, and PI_IMPROVEMENT_TOL * max(1, max|v|)
+    in float mode."""
     lams = view.discounts[principal : principal + 1]  # one column: this principal's
-    starts = view.row_ptr[:-1]
-    sigma = _lowest_actions(view, mask)
+    sigma = view.first_best(mask)  # a row per state
     for _ in range(100_000):
-        rows = starts + sigma
-        system = view, _entries(view, rows), view.rewards[rows, principal : principal + 1], lams
+        system = view, _entries(view, sigma), view.rewards[sigma, principal : principal + 1], lams
         if mode.is_exact:
             v = policy_values_exact(*system)[:, 0].tolist()
             eps = 0
         else:
             v = policy_values_float(*system)[:, 0]
             eps = PI_IMPROVEMENT_TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        q = _one_step_all_rows(view, principal, lams[0], np.asarray(v, dtype=view.dtype))
-        best, masked = _masked_max(view, q, mask)
-        better = best > q[rows] + eps
+        sums = view.successor_sums(np.asarray(v, dtype=view.dtype), view.succ_prob)
+        q = view.rewards[:, principal] + lams[0] * sums
+        masked = np.where(mask, q, -np.inf)
+        better = view.segment_max(masked) > q[sigma] + eps
         if not np.count_nonzero(better):
-            return SolveResult(values=v, q=QTable(q, mask), strategy=sigma.tolist())
-        sigma = np.where(better, _lowest_actions(view, masked == best[view.row_state]), sigma)
+            return SolveResult(v, QTable(q, mask), view.local_action[sigma].tolist())
+        sigma = np.where(better, view.first_best(masked), sigma)
     raise ConvergenceError("policy iteration failed to stabilise")

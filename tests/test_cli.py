@@ -489,6 +489,31 @@ def test_spacing_cli(tmp_path, capsys):
     assert doc["all_spaced"] is True
 
 
+def test_spacing_cli_text(tmp_path, capsys):
+    path = _write_investment(tmp_path)
+    assert main(["spacing", path, "--bound", "10"]) == 0
+    assert capsys.readouterr().out == "pair 0->1: spacing 1 (spaced)\n"
+    assert main(["spacing", path, "--bound", "1/2"]) == 0
+    assert capsys.readouterr().out == "pair 0->1: spacing 1 (NOT spaced)\n"
+
+
+def test_oracle_positional_search_matches_enumeration(tmp_path, capsys):
+    from mdpwf import builtin, enumerate_positional
+    from mdpwf.strategies import positional_names
+
+    path = _write_investment(tmp_path)
+    asym = builtin("investment")
+    best = enumerate_positional(asym, 0)
+    names = positional_names(asym, best.best_strategy)
+    assert main(["oracle", path]) == 0
+    assert capsys.readouterr().out == (
+        f"best social welfare from s0: {best.best_social_welfare:.12g}\n{json.dumps(names)}\n"
+    )
+    assert main(["oracle", path, "--json"]) == 0
+    doc = {"start": "s0", "best_social_welfare": best.best_social_welfare, "strategy": names}
+    assert json.loads(capsys.readouterr().out) == doc
+
+
 def test_oracle_threshold_auto_pipe(tmp_path, capsys, monkeypatch):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 3\n1 -2 3 0\n-1 -2 3 0\n-1 2 -3 0\n")
@@ -522,11 +547,34 @@ def test_oracle_counting(tmp_path, capsys):
 def test_gen_random_deterministic(tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
-    args = ["gen", "random", "--states", "8", "--seed", "5", "--scheme", "list",
-            "--discounts", "0.9,0.3"]
+    args = ["gen", "random", "--states", "8", "--seed", "5", "--discounts", "0.9,0.3"]
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
     assert Path(a).read_text() == Path(b).read_text()
+
+
+def test_gen_random_writes_the_listed_discounts(capsys):
+    assert main(["gen", "random", "--states", "2", "--discounts", "0.9,0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [p["discount"] for p in doc["principals"]] == ["9/10", "3/10"]
+
+
+def test_gen_writes_to_stdout(capsys):
+    from mdpwf import builtin
+
+    assert main(["gen", "builtin", "investment"]) == 0
+    assert capsys.readouterr().out == dumps(builtin("investment"))
+
+
+def test_gen_sat_zero_sum(tmp_path, capsys):
+    from mdpwf.generators import parse_dimacs, sat_reduction, zero_sum_variant
+
+    text = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(text)
+    assert main(["gen", "sat", str(cnf), "--zero-sum"]) == 0
+    expected, _, _ = zero_sum_variant(sat_reduction(parse_dimacs(text))[0])
+    assert capsys.readouterr().out == dumps(expected)
 
 
 def test_bench_cli(tmp_path, capsys):
@@ -535,6 +583,20 @@ def test_bench_cli(tmp_path, capsys):
     assert "2 rows" in capsys.readouterr().out
     with open(out) as f:
         assert f.readline().startswith("states,")
+
+
+@pytest.mark.parametrize(
+    "question, option, rows",
+    [
+        ("rq2", ["--principals", "2:4:1"], "2 rows (2 ok)"),
+        ("rq3", ["--ratios", "2,0.5"], "2 rows (1 ok)"),
+    ],
+)
+def test_bench_cli_principals_and_ratios(tmp_path, capsys, monkeypatch, question, option, rows):
+    monkeypatch.setenv("MDPWF_THREADS", "1")
+    out = str(tmp_path / "study.csv")
+    assert main(["bench", question, *option, "--seeds", "0", "--csv", out]) == 0
+    assert capsys.readouterr().out == f"{rows} -> {out}\n"
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -1,18 +1,23 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdpwf import (
     EXACT,
+    FLOAT,
     AsymMdp,
     FormatError,
     LoadError,
+    RandomMdpConfig,
     badly_spaced,
     dumps,
     eval_positional,
     loads,
     merge_equal_discounts,
+    random_mdp,
     spacing_report,
     validate,
 )
@@ -288,3 +293,31 @@ def test_spacing_requires_descending(investment):
     tied = investment.with_discounts([Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         spacing_report(tied, 10)
+
+
+
+# -- row view ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", range(4))
+def test_row_view_reductions_match_loops(mode, seed):
+    asym = random_mdp(RandomMdpConfig(10, 3, 2, successors=(1, 10), seed=seed))
+    view = asym.float_view(mode)
+    rows = list(asym.rows())
+    v = np.array([[r * (s + 1) for s in range(asym.n_states)] for r in (1, -2)], dtype=view.dtype)
+    sums = view.successor_sums(v, view.succ_prob)
+    assert (view.successor_sums(v[0], view.succ_prob) == sums[0]).all()
+    for r, (s, a) in enumerate(rows):
+        for i in range(2):
+            expected = sum(p * v[i, t] for t, p in asym.mdp.transitions[s][a])
+            assert sums[i, r] == expected if mode.is_exact else math.isclose(sums[i, r], expected)
+    # a principal's rewards, and integer scores that tie on two actions a state
+    blocks = [view.rewards.T, np.array([[a % 2 + i for _, a in rows] for i in range(3)])]
+    for block in blocks:
+        maxima, best = view.segment_max(block), view.first_best(block)
+        for i, scores in enumerate(block.tolist()):
+            for s in range(asym.n_states):
+                own = [scores[r] for r, (t, _) in enumerate(rows) if t == s]
+                assert maxima[i, s] == max(own)
+                assert best[i, s] == view.row_ptr[s] + own.index(max(own))

@@ -423,6 +423,89 @@ def test_long_term_rejects_discounts_not_strictly_descending(mode, seed, discoun
     assert str(err.value) == "discounts not strictly descending: " + message
 
 
+_ASCENDING = (Fraction(1, 3), Fraction(2, 3)), "'Alice' (1/3) vs 'Bob' (2/3)"
+_TIE = (
+    (Fraction(1, 3), Fraction(1, 3)),
+    "'Alice' (1/3) vs 'Bob' (1/3); combine equal discounts with merge_equal_discounts",
+)
+
+
+# Without the check, exact kappa_estimate on ascending discounts searches
+# without end for a power of a base below 1 that reaches its bound, so that
+# one case is left out here.
+@pytest.mark.parametrize(
+    "layer, mode, discounts, message",
+    [
+        pytest.param(layer, mode, *case, id=f"{layer}-{name}-{mode_id}")
+        for layer in ["advantages", "find_kappa", "kappa_estimate"]
+        for mode, mode_id in [(EXACT, "exact"), (FLOAT, "float")]
+        for case, name in [(_ASCENDING, "ascending"), (_TIE, "tie")]
+        if (layer, mode_id, name) != ("kappa_estimate", "exact", "ascending")
+    ],
+)
+def test_layers_after_long_term_reject_discounts_not_strictly_descending(
+    investment, layer, mode, discounts, message
+):
+    # these used to raise ZeroDivisionError (kappa_estimate on the tie),
+    # return 0 (kappa_estimate), overflow (find_kappa) or blame a retained
+    # action (advantages)
+    lt = long_term(investment, mode)
+    adv = advantages(investment, lt, mode)
+    calls = {
+        "advantages": lambda asym: advantages(asym, lt, mode),
+        # a small cap keeps the search short where the check is missing
+        "find_kappa": lambda asym: find_kappa(asym, adv, max_kappa=64, mode=mode),
+        "kappa_estimate": lambda asym: kappa_estimate(asym, adv, mode),
+    }
+    with pytest.raises(ValueError) as err:
+        calls[layer](investment.with_discounts(list(discounts)))
+    assert str(err.value) == "discounts not strictly descending: " + message
+
+
+@MODES
+def test_optimize_rejects_model_without_principals(mode):
+    asym = AsymMdp.build(["s"], [], [("s", "a", [("s", 1)], None)])
+    with pytest.raises(ValueError, match="^model has no principals$"):
+        optimize(asym, mode=mode)
+    assert validate(asym).violations == ["model has no principals"]
+
+
+@pytest.mark.parametrize(
+    "mode, sw, message",
+    [
+        (EXACT, Fraction(3), "welfare decomposition failed at state 's0': 3 != 1 + 1/2"),
+        (FLOAT, 3.0, "welfare decomposition failed at state 's0': 3.0 vs 1.0 + 0.5"),
+    ],
+    ids=["exact", "float"],
+)
+def test_check_decomposition_names_state_and_terms(mode, sw, message):
+    baseline, gain = Fraction(1), Fraction(1, 2)
+    welfare._check_decomposition(mode, baseline + gain, baseline, gain, "s0")
+    with pytest.raises(CertificationError) as err:
+        welfare._check_decomposition(mode, sw, baseline, gain, "s0")
+    assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_beaten_is_first_best_for_a_fixed_sigma(data):
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="actions")
+    states = [f"s{s}" for s in range(len(counts))]
+    asym = AsymMdp.build(
+        states,
+        [("A", Fraction(1, 2))],
+        [(name, f"a{a}", [(name, 1)], 0) for name, k in zip(states, counts) for a in range(k)],
+    )
+    view = asym.float_view(FLOAT)
+    steps = data.draw(st.integers(1, 5), label="steps")
+    # scores from a small set plant ties
+    cells = st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=view.n_rows, max_size=view.n_rows)
+    scores = np.array(data.draw(st.lists(cells, min_size=steps, max_size=steps), label="scores"))
+    sigma = np.array([data.draw(st.integers(0, k - 1)) for k in counts]) + view.row_ptr[:-1]
+    expected = (view.first_best(scores) != sigma).any(axis=1)
+    assert welfare._beaten(view, scores, sigma).tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_model_without_states(mode):
     empty = AsymMdp.build(states=[], principals=[("A", Fraction(1, 2))], actions=[])
