@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CertificationError
 from .linalg import _dense, _entries, policy_values_exact, policy_values_float, power_pays
 from .model import AsymMdp
-from .numeric import FLOAT, NumericMode
+from .numeric import DECOMPOSITION_TOL, FLOAT, NumericMode
 from .strategies import CountingStrategy, MixedStationaryStrategy, check_positional
 
 
@@ -62,7 +63,9 @@ def eval_stationary_mixed(
     return _policy_system(view, _entries(view, rows, weight), r, mode)
 
 
-def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT) -> EvalResult:
+def eval_counting(
+    asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT, *, tail_values=None
+) -> EvalResult:
     """Payoffs of a counting strategy, for every start state.
 
     Computed by backward recursion over the prefix on top of the tail's
@@ -70,24 +73,64 @@ def eval_counting(asym: AsymMdp, cs: CountingStrategy, mode: NumericMode = FLOAT
     the lam^kappa-weighted tail value.  All principals are held at once in
     an n_states x n_principals array, and the prefix is taken run by run, a
     long run in closed form (see `_counting_values`).
+
+    The tail's values are solved for, unless `tail_values` gives them, one
+    vector per principal, as `optimize` gives the cascade's.  Exact mode
+    takes them as given: `advantages` has certified that the tail's rows have
+    zero advantage, so the values solve the tail's policy system.  Float mode
+    checks them by their residual (`_check_tail`).
     """
     cs.check(asym)
-    tail_vals = eval_positional(asym, cs.tail, mode)
-    return _bundle(_counting_values(asym.float_view(mode), cs, tail_vals, mode))
+    view = asym.float_view(mode)
+    if tail_values is None:
+        tail_values = eval_positional(asym, cs.tail, mode).per_principal
+    elif not mode.is_exact:
+        _check_tail(asym, view, cs.tail, tail_values)
+    return _bundle(_counting_values(view, cs, tail_values, mode))
 
 
-def _counting_values(view, cs, tail_vals, mode):
+def _step(view, entries, r):
+    """u -> r + lam * P u, over the successor `entries` of one row per state
+    and their rewards `r`, for u with a column per principal."""
+    src, dst, prob = entries
+    starts, prob = np.searchsorted(src, np.arange(view.n_states)), prob[:, None]
+    return lambda u: r + view.discounts * np.add.reduceat(prob * u[dst], starts)
+
+
+def _check_tail(asym, view, tail, tail_values):
+    """CertificationError unless float values V_i are within
+    DECOMPOSITION_TOL * max(1, max|V_i|) of the tail's values for every
+    principal i, by the bound |V^tail - V| <= |rho|_inf / (1 - lam) on the
+    residual rho = r + lam P V - V over the tail's rows (Williams & Baird,
+    "Tight performance bounds on greedy policies based on imperfect value
+    functions", Northeastern Univ. NU-CCS-93-14, 1993)."""
+    played = view.row_ptr[:-1] + np.asarray(tail, dtype=np.int64)
+    u = np.array(tail_values, dtype=float).T
+    residual = np.abs(_step(view, _entries(view, played), view.rewards[played])(u) - u)
+    bound = residual.max(axis=0, initial=0.0) / (1 - view.discounts)
+    tol = DECOMPOSITION_TOL * np.maximum(1.0, np.abs(u).max(axis=0, initial=0.0))
+    bad = bound > tol
+    if bad.any():
+        i = int(bad.argmax())
+        s = int(residual[:, i].argmax())
+        raise CertificationError(
+            f"tail values fail their residual check at state {asym.mdp.states[s]!r} for "
+            f"principal {i}: residual {residual[s, i]}, bound {bound[i]} against {tol[i]}"
+        )
+
+
+def _counting_values(view, cs, tail_values, mode):
     """Per-principal value lists of a checked counting strategy, given its
-    tail's values.
+    tail's values, one vector per principal.
 
     The prefix is taken run by run, last run first, each from its played
     rows' successor entries.  Where `power_pays`, a run of L steps of
     T(u) = r + lam * P u is T^L(u) = w + lam^L * P^L (u - w), from the policy
     values w = T(w) of one solve and one power P^L for all principals
     (Puterman, "Markov Decision Processes", 1994, sec. 6.1); otherwise each
-    step is one segment sum of the successor values."""
+    step is one segment sum of the successor values (`_step`)."""
     n = view.n_states
-    u = np.array(tail_vals.per_principal, dtype=view.dtype).T
+    u = np.array(tail_values, dtype=view.dtype).T
     for length, row in reversed(cs.runs):
         played = view.row_ptr[:-1] + np.asarray(row, dtype=np.int64)
         entries, r = _entries(view, played), view.rewards[played]
@@ -96,10 +139,9 @@ def _counting_values(view, cs, tail_vals, mode):
             power = np.linalg.matrix_power(_dense(view, entries), length)
             u = w + view.discounts**length * (power @ (u - w))
             continue
-        src, dst, prob = entries
-        starts, prob = np.searchsorted(src, np.arange(n)), prob[:, None]
+        step = _step(view, entries, r)
         for _ in range(length):
-            u = r + view.discounts * np.add.reduceat(prob * u[dst], starts)
+            u = step(u)
     return u.T.tolist()
 
 

@@ -264,13 +264,19 @@ def _check_start(asym: AsymMdp, start) -> None:
 
 
 def _check_discount_order(asym: AsymMdp) -> None:
-    """ValueError unless the model has principals with strictly descending discounts."""
+    """ValueError unless the model has principals with strictly descending
+    discounts.  A model that passes is marked in its view cache, so the
+    layers of one `optimize`, which each check for their direct callers,
+    pay for the check once."""
+    if "descending" in asym._views:
+        return
     if not asym.principals:
         raise ValueError("model has no principals")
     for earlier, later, message in _order_violations(asym):
         if earlier == later:
             message += "; combine equal discounts with merge_equal_discounts"
         raise ValueError(message)
+    asym._views["descending"] = True
 
 
 def validate(asym: AsymMdp, mode: NumericMode = FLOAT) -> ValidationResult:

@@ -371,7 +371,7 @@ def optimize(
     kappa = find_kappa(asym, adv, max_kappa=max_kappa, mode=mode)
     bound = kappa_estimate(asym, adv, mode=mode)
     cs, gain = _backward_induction(asym, adv, kappa, lt.tail, mode)
-    payoffs = eval_counting(asym, cs, mode)
+    payoffs = eval_counting(asym, cs, mode, tail_values=lt.values)
     t2 = time.perf_counter()
     reports = {}
     for s, name in enumerate(asym.mdp.states):

@@ -120,6 +120,40 @@ def test_values_satisfy_bellman_optimality_on_seeded_instances(mode):
                     assert abs(float(best) - v[s]) <= 1e-9 * max(1.0, abs(v[s]))
 
 
+@pytest.mark.parametrize("restricted", [False, True], ids=["all", "restricted"])
+@pytest.mark.parametrize("num_states", [300, 600])
+def test_values_satisfy_bellman_optimality_above_the_dense_limit(num_states, restricted):
+    """As above, on models large enough that float policy iteration starts
+    from Bellman sweeps; the restricted case keeps action 0 alone in every
+    third state."""
+    assert num_states > mdpwf.linalg._DENSE_LIMIT
+    asym = random_mdp(
+        RandomMdpConfig(
+            num_states=num_states, discounts=[Fraction(99, 100), Fraction(3, 10)], seed=num_states
+        )
+    )
+    allowed = [[0] if restricted and s % 3 == 0 else [0, 1] for s in range(num_states)]
+    for i, lam in enumerate(asym.discounts):
+        v = solve_discounted(asym, i, FLOAT, restriction=allowed).values.tolist()
+        for s, moves in enumerate(asym.mdp.transitions):
+            best = max(
+                float(asym.rewards[s][a][i])
+                + float(lam) * sum(float(p) * v[t] for t, p in moves[a])
+                for a in allowed[s]
+            )
+            assert abs(best - v[s]) <= 1e-9 * max(1.0, abs(v[s]))
+
+
+def test_warm_start_cuts_level_zero_solves(count_calls):
+    # from the lowest-index rows, policy iteration takes 7 solves here
+    asym = random_mdp(
+        RandomMdpConfig(num_states=500, discounts=[Fraction(9, 10), Fraction(3, 10)], seed=0)
+    )
+    solves = count_calls("policy_values_float", mdpwf.solve)
+    solve_discounted(asym, 0, FLOAT)
+    assert 1 <= len(solves) <= 3
+
+
 def test_returned_strategy_evaluates_to_values():
     for seed in range(40):
         cfg = RandomMdpConfig(

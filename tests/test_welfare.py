@@ -23,6 +23,7 @@ from mdpwf import (
     badly_spaced,
     builtin,
     enumerate_positional,
+    eval_counting,
     eval_positional,
     find_kappa,
     kappa_estimate,
@@ -33,6 +34,7 @@ from mdpwf import (
     validate,
 )
 from mdpwf import welfare
+import mdpwf.evaluate
 import mdpwf.linalg
 from mdpwf.linalg import power_pays
 from mdpwf.strategies import counting_to_doc, parse_strategy
@@ -91,6 +93,43 @@ def test_certification_rejects_tampered_values(investment):
     lt.values[0][0] += 1
     with pytest.raises(CertificationError):
         advantages(investment, lt, EXACT)
+
+
+def test_float_certification_rejects_tampered_tail_values(monkeypatch):
+    # V_0(s3) moves by 5e-8 of its scale: inside advantages' zero clamp
+    # (1e-7), but the tail's residual bound reads 5e-8 / (1 - 99/100) = 5e-6
+    # against the decomposition tolerance 1e-6
+    asym = random_mdp(
+        RandomMdpConfig(num_states=6, discounts=[Fraction(99, 100), Fraction(3, 10)], seed=0)
+    )
+    real = welfare.long_term
+
+    def tampered(asym, mode):
+        lt = real(asym, mode)
+        lt.values[0][3] += 5e-8 * max(1.0, np.abs(lt.values[0]).max())
+        return lt
+
+    advantages(asym, tampered(asym, FLOAT), FLOAT)
+    monkeypatch.setattr(welfare, "long_term", tampered)
+    with pytest.raises(CertificationError, match="at state 's3' for principal 0: residual"):
+        optimize(asym, FLOAT)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_optimize_takes_the_tail_values_from_the_cascade(count_calls, investment, mode):
+    # the prefix (kappa 2 on 2 states) is stepped, so no solve is left to evaluation
+    solver = "policy_values_exact" if mode.is_exact else "policy_values_float"
+    solves = count_calls(solver, mdpwf.evaluate)
+    res = optimize(investment, mode)
+    assert res.kappa == 2 and not power_pays(investment.n_states, res.kappa)
+    assert solves == []
+    got = [rep.social_welfare for rep in res.reports.values()]
+    want = eval_counting(investment, res.strategy, mode).social_welfare  # re-solves the tail
+    assert len(solves) == 1
+    if mode.is_exact:
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_find_kappa_investment(investment):
